@@ -16,9 +16,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .core import PlaConfig, discard, run_pla
+from .core import MODES, PlaConfig, discard, run_pla
 from .dispersion import DispersionMatrix, eigendecompose
 from .errors import (
+    ConfigError,
     ConsistencyError,
     DegenerateColumnError,
     DimensionError,
@@ -27,7 +28,6 @@ from .errors import (
     NumericalError,
     ParseError,
     SymmetryError,
-    TrackingError,
     ZeroTraceError,
 )
 from .ingest import load_csv, write_csv
@@ -45,6 +45,7 @@ _DATA_ERRORS = (
     DegenerateColumnError,
     ConsistencyError,
     InsufficientInputError,
+    UnicodeDecodeError,
     FileNotFoundError,
     IsADirectoryError,
     PermissionError,
@@ -54,7 +55,6 @@ _NUMERICAL_ERRORS = (
     NumericalError,
     ZeroTraceError,
     FactorizationError,
-    TrackingError,
     np.linalg.LinAlgError,
 )
 
@@ -63,9 +63,13 @@ class CliExit(SystemExit):
     pass
 
 
+def _report_error(code: int, message) -> int:
+    print(json.dumps({"code": code, "message": str(message)}), file=sys.stderr)
+    return code
+
+
 def _fail(code: int, message: str) -> None:
-    print(json.dumps({"code": code, "message": message}), file=sys.stderr)
-    raise CliExit(code)
+    raise CliExit(_report_error(code, message))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,10 +121,6 @@ def _load_square_array(path: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _load_symmetric_matrix(path: str, kind: str) -> DispersionMatrix:
-    return DispersionMatrix(_load_square_array(path), kind)
-
-
 def _workers() -> int:
     try:
         return max(1, int(os.environ.get("PLA_THREADS", "1")))
@@ -129,9 +129,7 @@ def _workers() -> int:
 
 
 def _pla_flags(sub) -> None:
-    sub.add_argument("--mode", default="correlation-rescaled",
-                     choices=["covariance", "correlation",
-                              "covariance-rescaled", "correlation-rescaled"])
+    sub.add_argument("--mode", default="correlation-rescaled", choices=MODES)
     sub.add_argument("--tau", type=float, default=0.6)
     sub.add_argument("--ev-cutoff", type=float, default=0.05)
     sub.add_argument("--ev-formula", default="exact", choices=["exact", "approx"])
@@ -184,9 +182,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", default="correlation-rescaled",
-                   choices=["covariance", "correlation",
-                            "covariance-rescaled", "correlation-rescaled"])
+    p.add_argument("--mode", default="correlation-rescaled", choices=MODES)
     p.add_argument("--epsilon-scale", type=float, default=0.0)
     p.add_argument("--out")
     p.add_argument("--format", default="json", choices=["json", "text"])
@@ -204,22 +200,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_analyze(args) -> int:
-    data = load_csv(args.input, delimiter=args.delimiter,
-                    has_header=not args.no_header, na_policy=args.na_policy)
+def _analyze_input(args):
+    """Validate the PLA settings, then load ``--input`` and analyze it."""
     config = PlaConfig(tau=args.tau, mode=args.mode,
                        ev_cutoff=args.ev_cutoff, ev_formula=args.ev_formula)
-    report = run_pla(data, config)
+    data = load_csv(args.input, delimiter=args.delimiter,
+                    has_header=not args.no_header, na_policy=args.na_policy)
+    return data, run_pla(data, config)
+
+
+def _cmd_analyze(args) -> int:
+    _, report = _analyze_input(args)
     _emit(report.to_dict(), args.out, as_text=args.format == "text")
     return EXIT_OK
 
 
 def _cmd_discard(args) -> int:
-    data = load_csv(args.input, delimiter=args.delimiter,
-                    has_header=not args.no_header, na_policy=args.na_policy)
-    config = PlaConfig(tau=args.tau, mode=args.mode,
-                       ev_cutoff=args.ev_cutoff, ev_formula=args.ev_formula)
-    report = run_pla(data, config)
+    data, report = _analyze_input(args)
     reduced = discard(data, report)
     write_csv(reduced, args.out, delimiter=args.delimiter)
     print(json.dumps({"kept": list(reduced.variable_names),
@@ -228,7 +225,7 @@ def _cmd_discard(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    base = _load_symmetric_matrix(args.matrix, args.kind)
+    base = DispersionMatrix(_load_square_array(args.matrix), args.kind)
     delta = _load_square_array(args.delta)
     pair = PerturbationPair(base, delta)
     diag = eigengap_bound(eigendecompose(base), pair, args.tau)
@@ -244,7 +241,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sensitivity(args) -> int:
-    matrix = _load_symmetric_matrix(args.matrix, "covariance")
+    matrix = DispersionMatrix(_load_square_array(args.matrix), "covariance")
     try:
         increments = [float(x) for x in args.increments.split(",") if x.strip()]
     except ValueError:
@@ -327,13 +324,12 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except CliExit as exc:
         return int(exc.code)
+    except ConfigError as exc:
+        return _report_error(EXIT_USAGE, exc)
     except _DATA_ERRORS as exc:
-        print(json.dumps({"code": EXIT_DATA, "message": str(exc)}), file=sys.stderr)
-        return EXIT_DATA
+        return _report_error(EXIT_DATA, exc)
     except _NUMERICAL_ERRORS as exc:
-        print(json.dumps({"code": EXIT_NUMERICAL, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _report_error(EXIT_NUMERICAL, exc)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ variables and eigenvectors) becomes a candidate block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,11 +16,12 @@ from .dispersion import (
     EIGENVALUE_TIE_TOL,
     DispersionMatrix,
     EigenSystem,
+    correlation_from_covariance,
     eigendecompose,
-    sample_correlation,
     sample_covariance,
 )
 from .errors import (
+    ConfigError,
     ConsistencyError,
     DimensionError,
     InsufficientInputError,
@@ -66,13 +67,13 @@ class PlaConfig:
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+            raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
         if not 0.0 <= self.ev_cutoff < 1.0:
-            raise ValueError(f"ev_cutoff must lie in [0, 1), got {self.ev_cutoff}")
+            raise ConfigError(f"ev_cutoff must lie in [0, 1), got {self.ev_cutoff}")
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.ev_formula not in ("exact", "approx"):
-            raise ValueError(f"unknown ev_formula {self.ev_formula!r}")
+            raise ConfigError(f"unknown ev_formula {self.ev_formula!r}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,6 @@ class BlockPartition:
 
     blocks: tuple[Block, ...]
     residual: tuple[int, ...]
-    tau_used: float
-    mode_used: str | None = None
 
     def structure(self):
         """Variable/eigenvector index sets only, for equality comparisons."""
@@ -197,7 +196,7 @@ def detect_blocks(loadings: np.ndarray, tau: float) -> BlockPartition:
             residual.extend(comp_vars)
 
     blocks.sort(key=lambda b: b.variables[0])
-    return BlockPartition(tuple(blocks), tuple(sorted(residual)), tau_used=tau)
+    return BlockPartition(tuple(blocks), tuple(sorted(residual)))
 
 
 def _total_variance(cov_es: EigenSystem) -> float:
@@ -238,29 +237,23 @@ def _assign_cov_eigen_indices(
     most of its squared mass, which recovers the exact linkage on
     block-structured matrices.
     """
-    m = cov_es.size
-    groups = [b.variables for b in partition.blocks]
-    if partition.residual:
-        groups.append(partition.residual)
-    assigned: dict[int, list[int]] = {g: [] for g in range(len(groups))}
-    for j in range(m):
-        weights = [
-            float((cov_es.eigenvectors[list(vars_), j] ** 2).sum())
-            for vars_ in groups
-        ]
-        assigned[int(np.argmax(weights))].append(j)
-    return {
-        b: tuple(assigned[b]) for b in range(len(partition.blocks))
-    }
+    blocks = partition.blocks
+    owner = np.full(cov_es.size, len(blocks))  # the residual's column
+    for b, block in enumerate(blocks):
+        owner[list(block.variables)] = b
+    membership = np.eye(len(blocks) + 1)[owner]
+    best = np.argmax((cov_es.eigenvectors**2).T @ membership, axis=1)
+    return {b: tuple(np.flatnonzero(best == b).tolist()) for b in range(len(blocks))}
 
 
 def _resolve_inputs(data_or_matrix, mode: str):
     """Return (cov, corr_or_None, names) for the requested mode."""
     use_corr = mode.startswith("correlation")
     if isinstance(data_or_matrix, DataMatrix):
+        names = data_or_matrix.variable_names
         cov = sample_covariance(data_or_matrix)
-        corr = sample_correlation(data_or_matrix) if use_corr else None
-        return cov, corr, data_or_matrix.variable_names
+        corr = correlation_from_covariance(cov, names) if use_corr else None
+        return cov, corr, names
     if isinstance(data_or_matrix, DispersionMatrix):
         m = data_or_matrix
         names = tuple(f"X{i + 1}" for i in range(m.size))
@@ -301,7 +294,6 @@ def run_pla(data_or_matrix, config: PlaConfig | None = None) -> PlaReport:
     )
 
     partition = detect_blocks(loadings, config.tau)
-    partition = replace(partition, mode_used=config.mode)
 
     warnings: list[str] = []
     if partition.residual:

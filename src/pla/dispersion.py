@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,47 +29,6 @@ UNIT_DIAG_TOL = 1e-12
 EIGENVALUE_TIE_TOL = 1e-8
 
 
-def _check_symmetric(entries: np.ndarray, tol: float, what: str) -> None:
-    scale = max(1.0, float(np.abs(entries).max(initial=0.0)))
-    dev = float(np.abs(entries - entries.T).max(initial=0.0))
-    if dev > tol * scale:
-        raise SymmetryError(f"{what}: asymmetry {dev:.3e} exceeds tolerance")
-
-
-@dataclass(frozen=True)
-class DispersionMatrix:
-    """Symmetric PSD M x M matrix tagged as covariance or correlation."""
-
-    entries: np.ndarray
-    kind: str
-    source_n: int | None = None
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionError(f"expected a square matrix, got {entries.shape}")
-        if self.kind not in ("covariance", "correlation"):
-            raise ValueError(f"unknown dispersion kind {self.kind!r}")
-        _check_symmetric(entries, SYMMETRY_TOL, self.kind)
-        eigvals = np.linalg.eigvalsh((entries + entries.T) / 2.0)
-        norm = float(np.abs(eigvals).max(initial=0.0))
-        if eigvals.min(initial=0.0) < -PSD_TOL * max(norm, 1.0):
-            raise NumericalError(
-                f"{self.kind} matrix is not positive semi-definite "
-                f"(min eigenvalue {eigvals.min():.3e})"
-            )
-        if self.kind == "correlation":
-            if np.abs(np.diag(entries) - 1.0).max() > UNIT_DIAG_TOL:
-                raise NumericalError("correlation matrix diagonal is not 1")
-            if np.abs(entries).max() > 1.0 + UNIT_DIAG_TOL:
-                raise NumericalError("correlation entries exceed 1 in magnitude")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Descending eigenvalues with column-orthonormal, sign-fixed eigenvectors."""
@@ -87,6 +46,55 @@ class EigenSystem:
         return float(self.eigenvalues.sum())
 
 
+@dataclass(frozen=True)
+class DispersionMatrix:
+    """Symmetric PSD M x M matrix tagged as covariance or correlation.
+
+    Validation is the matrix's one symmetric eigensolve: the PSD check reads
+    the eigenvalues of the decomposition that is then kept as
+    ``eigensystem`` and returned by ``eigendecompose``.
+    """
+
+    entries: np.ndarray
+    kind: str
+    source_n: int | None = None
+    eigensystem: EigenSystem = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        entries = np.asarray(self.entries, dtype=float)
+        if entries.ndim != 2 or not 0 < entries.shape[0] == entries.shape[1]:
+            raise DimensionError(f"need a non-empty square matrix, got {entries.shape}")
+        if self.kind not in ("covariance", "correlation"):
+            raise ValueError(f"unknown dispersion kind {self.kind!r}")
+        scale = max(1.0, float(np.abs(entries).max()))
+        dev = float(np.abs(entries - entries.T).max())
+        if dev > SYMMETRY_TOL * scale:
+            raise SymmetryError(f"{self.kind}: asymmetry {dev:.3e} exceeds tolerance")
+        try:
+            eigvals, eigvecs = np.linalg.eigh(entries)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensolver failed: {exc}") from exc
+        norm = float(np.abs(eigvals).max())
+        if eigvals.min() < -PSD_TOL * max(norm, 1.0):
+            raise NumericalError(
+                f"{self.kind} matrix is not positive semi-definite "
+                f"(min eigenvalue {eigvals.min():.3e})"
+            )
+        if self.kind == "correlation":
+            if np.abs(np.diag(entries) - 1.0).max() > UNIT_DIAG_TOL:
+                raise NumericalError("correlation matrix diagonal is not 1")
+            if np.abs(entries).max() > 1.0 + UNIT_DIAG_TOL:
+                raise NumericalError("correlation entries exceed 1 in magnitude")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(
+            self, "eigensystem", _canonical_eigensystem(eigvals, eigvecs, self.kind)
+        )
+
+    @property
+    def size(self) -> int:
+        return self.entries.shape[0]
+
+
 def sample_covariance(data: DataMatrix) -> DispersionMatrix:
     """Unbiased (N-1) sample covariance of the data columns."""
     if data.n_rows < 2:
@@ -98,8 +106,7 @@ def sample_covariance(data: DataMatrix) -> DispersionMatrix:
 
 def sample_correlation(data: DataMatrix) -> DispersionMatrix:
     """Sample correlation of the data columns; constant columns are an error."""
-    cov = sample_covariance(data)
-    return correlation_from_covariance(cov, names=data.variable_names)
+    return correlation_from_covariance(sample_covariance(data), data.variable_names)
 
 
 def correlation_from_covariance(
@@ -122,28 +129,28 @@ def correlation_from_covariance(
     return DispersionMatrix(corr, "correlation", source_n=cov.source_n)
 
 
-def _tie_stable_order(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
-    """Permutation refining descending order inside near-degenerate groups.
+def _canonical_eigensystem(
+    eigvals: np.ndarray, eigvecs: np.ndarray, kind: str
+) -> EigenSystem:
+    """Canonical form of one ascending ``eigh`` result (see ``eigendecompose``).
 
-    Tied eigenvalues (gap below EIGENVALUE_TIE_TOL * |trace|) are reordered by
-    the row index of each eigenvector's largest-magnitude entry, which makes
-    block detection deterministic.
+    Runs of tied eigenvalues (each gap below EIGENVALUE_TIE_TOL * |trace|)
+    are ordered by the row index of each eigenvector's largest-magnitude
+    entry, which makes block detection deterministic.
     """
-    m = eigvals.shape[0]
+    eigvals = eigvals[::-1].copy()
+    eigvecs = eigvecs[:, ::-1]
+    # Validation has rejected every negative eigenvalue beyond PSD_TOL.
+    eigvals[eigvals < 0.0] = 0.0
+
     tol = EIGENVALUE_TIE_TOL * max(abs(float(eigvals.sum())), 1e-300)
-    order = list(range(m))
-    start = 0
-    while start < m:
-        stop = start + 1
-        while stop < m and eigvals[stop - 1] - eigvals[stop] < tol:
-            stop += 1
-        if stop - start > 1:
-            order[start:stop] = sorted(
-                order[start:stop],
-                key=lambda j: int(np.argmax(np.abs(eigvecs[:, j]))),
-            )
-        start = stop
-    return np.array(order)
+    runs = np.concatenate(([0], np.cumsum(~(eigvals[:-1] - eigvals[1:] < tol))))
+    peaks = np.argmax(np.abs(eigvecs), axis=0)
+    order = np.lexsort((peaks, runs))
+    eigvals, eigvecs, peaks = eigvals[order], eigvecs[:, order], peaks[order]
+
+    signs = np.where(eigvecs[peaks, np.arange(eigvecs.shape[1])] < 0.0, -1.0, 1.0)
+    return EigenSystem(eigvals, eigvecs * signs, kind=kind)
 
 
 def eigendecompose(m: DispersionMatrix) -> EigenSystem:
@@ -152,26 +159,7 @@ def eigendecompose(m: DispersionMatrix) -> EigenSystem:
     Eigenvalues are returned in non-increasing order; small negative values
     within the PSD tolerance are clamped to zero.  In each eigenvector the
     entry of largest magnitude (lowest index on ties) is made positive.
+    Nothing is solved here: the one ``eigh`` call that validated ``m`` at
+    construction produced this eigensystem, and it is returned as stored.
     """
-    _check_symmetric(m.entries, SYMMETRY_TOL, "eigendecompose input")
-    try:
-        eigvals, eigvecs = np.linalg.eigh(m.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-
-    eigvals = eigvals[::-1].copy()
-    eigvecs = eigvecs[:, ::-1].copy()
-
-    norm = float(np.abs(eigvals).max(initial=0.0))
-    clamp = (eigvals < 0.0) & (eigvals >= -PSD_TOL * max(norm, 1.0))
-    eigvals[clamp] = 0.0
-
-    order = _tie_stable_order(eigvals, eigvecs)
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-
-    peaks = np.argmax(np.abs(eigvecs), axis=0)
-    signs = np.where(eigvecs[peaks, np.arange(eigvecs.shape[1])] < 0.0, -1.0, 1.0)
-    eigvecs = eigvecs * signs
-
-    return EigenSystem(eigvals, eigvecs, kind=m.kind)
+    return m.eigensystem

@@ -5,6 +5,10 @@ class PlaError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigError(PlaError, ValueError):
+    """A setting of an analysis, a simulation or the CSV reader is invalid."""
+
+
 class ParseError(PlaError):
     """Input file could not be parsed as a rectangular numeric table."""
 
@@ -35,10 +39,6 @@ class InsufficientInputError(PlaError):
 
 class ConsistencyError(PlaError):
     """Report and data refer to different variable sets."""
-
-
-class TrackingError(PlaError):
-    """An eigenvector could not be matched across a perturbation."""
 
 
 class FactorizationError(PlaError):

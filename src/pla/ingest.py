@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateColumnError, DimensionError, ParseError
+from .errors import ConfigError, DegenerateColumnError, DimensionError, ParseError
 
 __all__ = ["DataMatrix", "load_csv", "write_csv", "standardize_columns"]
 
@@ -59,45 +60,50 @@ def load_csv(
     """Read a rectangular numeric CSV into a DataMatrix.
 
     With ``na_policy="drop-row"`` any row containing a cell that does not
-    parse as a number is removed; with ``"fail"`` such a cell raises
-    ParseError.
+    parse as a number, or parses as nan or inf, is removed; with ``"fail"``
+    such a cell raises ParseError.  Errors cite physical line numbers, blank
+    lines included.
     """
     if na_policy not in ("fail", "drop-row"):
-        raise ValueError(f"unknown na_policy {na_policy!r}")
+        raise ConfigError(f"unknown na_policy {na_policy!r}")
+    if len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=delimiter) if row]
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-
-    if has_header:
-        names = tuple(cell.strip() for cell in rows[0])
-        rows = rows[1:]
-    else:
-        names = tuple(f"X{i + 1}" for i in range(len(rows[0])))
-    width = len(names)
-
     parsed: list[list[float]] = []
-    for lineno, row in enumerate(rows, start=2 if has_header else 1):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}:{lineno}: expected {width} cells, got {len(row)}"
-            )
-        try:
-            parsed.append([float(cell) for cell in row])
-        except ValueError:
-            if na_policy == "fail":
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows = ((reader.line_num, row) for row in reader if row)
+        first = next(rows, None)
+        if first is None:
+            raise ParseError(f"{path}: empty file")
+        if has_header:
+            names = tuple(cell.strip() for cell in first[1])
+        else:
+            names = tuple(f"X{i + 1}" for i in range(len(first[1])))
+            rows = itertools.chain([first], rows)
+        width = len(names)
+
+        for lineno, row in rows:
+            if len(row) != width:
                 raise ParseError(
-                    f"{path}:{lineno}: non-numeric cell under na_policy=fail"
-                ) from None
-            # drop-row: skip this observation
+                    f"{path}:{lineno}: expected {width} cells, got {len(row)}"
+                )
+            try:
+                parsed.append([float(cell) for cell in row])
+            except ValueError:
+                if na_policy == "fail":
+                    raise ParseError(
+                        f"{path}:{lineno}: non-numeric cell under na_policy=fail"
+                    ) from None
+                # drop-row: skip this observation
     if width < 2:
         raise DimensionError(f"{path}: need at least 2 columns, got {width}")
-    if len(parsed) < 2:
-        raise DimensionError(
-            f"{path}: need at least 2 usable rows, got {len(parsed)}"
-        )
-    return DataMatrix(np.array(parsed, dtype=float), names)
+    values = np.array(parsed, dtype=float).reshape(-1, width)
+    if na_policy == "drop-row":
+        values = values[np.isfinite(values).all(axis=1)]
+    if len(values) < 2:
+        raise DimensionError(f"{path}: need at least 2 usable rows, got {len(values)}")
+    return DataMatrix(values, names)
 
 
 def write_csv(data: DataMatrix, path, delimiter: str = ",") -> None:

@@ -8,6 +8,7 @@ the detection step fails to isolate the planted structure.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PlaConfig, run_pla
-from .errors import DimensionError, FactorizationError, PlaError
+from .core import MODES, PlaConfig, run_pla
+from .errors import ConfigError, DimensionError, FactorizationError, PlaError
 from .ingest import DataMatrix
 
 __all__ = [
@@ -65,7 +66,9 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.scenario not in ("single-vars", "one-block"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+            raise ConfigError(f"unknown scenario {self.scenario!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.scenario == "single-vars":
             if self.count < 1 or self.m_total - self.count < 2:
                 raise DimensionError(
@@ -81,7 +84,7 @@ class ScenarioSpec:
         if self.n_sample < 2:
             raise DimensionError(f"n_sample must be >= 2, got {self.n_sample}")
         if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+            raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,9 @@ class MonteCarloSpec:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -223,10 +226,11 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
     """Estimate the share of iterations where the planted drop was missed.
 
     Each iteration regenerates a fresh population, draws a sample, and runs
-    the detection pipeline; success means every planted singleton forms its
-    own block (single-vars) or the planted variables form exactly one block
-    (one-block).  Per-iteration seeds are derived from the master seed, so
-    the estimate is independent of worker scheduling.
+    the detection pipeline; success means every planted variable lies in a
+    block made only of planted variables (single-vars: the singletons may
+    share one block, see ``_recovered``) or the planted variables form
+    exactly one block (one-block).  Per-iteration seeds are derived from the
+    master seed, so the estimate is independent of worker scheduling.
     """
     indices = range(mc.iterations)
     if mc.workers > 1:
@@ -279,29 +283,24 @@ def reproduce_table(
     n_values = TABLE_N_VALUES if n_values is None else tuple(n_values)
     taus = default_taus if taus is None else tuple(taus)
 
+    # Every cell is validated before the first one runs.
+    specs = [
+        ScenarioSpec(m_total=m, scenario=scenario, count=k, n_sample=n, tau=tau)
+        for m, k, n, tau in itertools.product(m_values, count_values, n_values, taus)
+    ]
     rows = []
-    for m in m_values:
-        for count in count_values:
-            for n in n_values:
-                for tau in taus:
-                    spec = ScenarioSpec(
-                        m_total=m,
-                        scenario=scenario,
-                        count=count,
-                        n_sample=n,
-                        tau=tau,
-                    )
-                    est = type_one_error(spec, mc)
-                    rows.append(
-                        {
-                            "M": m,
-                            "k_or_kappa": count,
-                            "N": n,
-                            "tau": tau,
-                            "rate": est.rate,
-                            "ci_low": est.wilson_ci95[0],
-                            "ci_high": est.wilson_ci95[1],
-                            "S": mc.iterations,
-                        }
-                    )
+    for spec in specs:
+        est = type_one_error(spec, mc)
+        rows.append(
+            {
+                "M": spec.m_total,
+                "k_or_kappa": spec.count,
+                "N": spec.n_sample,
+                "tau": spec.tau,
+                "rate": est.rate,
+                "ci_low": est.wilson_ci95[0],
+                "ci_high": est.wilson_ci95[1],
+                "S": mc.iterations,
+            }
+        )
     return rows

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -63,9 +64,45 @@ class TestAnalyze:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 3
 
+    def test_non_utf8_file_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        assert main(["analyze", "--input", str(path)]) == 3
+        assert json.loads(capsys.readouterr().err)["code"] == 3
+
     def test_bad_mode_rejected(self, dataset, capsys):
         assert main(["analyze", "--input", dataset, "--mode", "pca"]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--tau", "1.5"],
+        ["analyze", "--ev-cutoff", "2"],
+        ["analyze", "--delimiter", ""],
+        ["discard", "--tau", "0", "--out", os.devnull],
+        ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
+         "--N", "200", "--tau", "0.4", "--S", "0"],
+        ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
+         "--N", "200", "--tau", "1.4", "--S", "2"],
+        ["reproduce-table", "--table", "I", "--M", "8", "--k", "1",
+         "--N", "200", "--S", "0"],
+        ["reproduce-table", "--table", "I", "--M", "8", "--k", "1",
+         "--N", "200", "--tau", "0.4", "--tau", "1.5", "--S", "1"],
+    ],
+    ids=["analyze-tau", "analyze-ev-cutoff", "analyze-delimiter", "discard-tau",
+         "simulate-S", "simulate-tau", "reproduce-table-S", "reproduce-table-tau"],
+)
+def test_out_of_range_option_is_usage_error(argv, dataset, capsys):
+    if argv[0] in ("analyze", "discard"):
+        argv = [argv[0], "--input", dataset, *argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["code"] == 2
 
 
 class TestDiscard:

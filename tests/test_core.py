@@ -220,6 +220,34 @@ class TestRunPla:
         after = run_pla(scaled, config).partition.structure()
         assert before == after
 
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            ("correlation", (1, 2, 0)),
+            ("correlation-rescaled", (1, 2, 0)),
+            ("covariance", (1, 1, 0)),
+            ("covariance-rescaled", (1, 1, 0)),
+        ],
+    )
+    def test_one_estimate_and_one_solve_per_matrix(self, monkeypatch, mode, expected):
+        calls = {"cov": 0, "eigh": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        data = gaussian_sample(BLOCK_3X3, 500, seed=46)
+        monkeypatch.setattr(np, "cov", counted("cov", np.cov))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh)
+        )
+        run_pla(data, PlaConfig(tau=0.7, mode=mode))
+        assert (calls["cov"], calls["eigh"], calls["eigvalsh"]) == expected
+
     def test_correlation_mode_needs_data(self):
         m = DispersionMatrix(BLOCK_3X3, "covariance")
         with pytest.raises(InsufficientInputError):

@@ -38,6 +38,28 @@ class TestLoadCsv:
         data = load_csv(path, na_policy="drop-row")
         assert data.n_rows == 4
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_na_drop_row_drops_non_finite_rows(self, tmp_path, cell):
+        path = _write(tmp_path, f"a,b\n1,2\n{cell},3\n4,5\n6,{cell}\n7,9\n")
+        data = load_csv(path, na_policy="drop-row")
+        np.testing.assert_array_equal(data.values, [[1, 2], [4, 5], [7, 9]])
+
+    def test_non_finite_cell_fails_by_default(self, tmp_path):
+        path = _write(tmp_path, "a,b\n1,2\nnan,3\n4,5\n")
+        with pytest.raises(ParseError, match="non-finite"):
+            load_csv(path)
+
+    def test_error_cites_physical_line_after_blank_lines(self, tmp_path):
+        path = _write(tmp_path, "a,b\n1,2\n\n\n3,x\n4,5\n")
+        with pytest.raises(ParseError, match=r"data\.csv:5: non-numeric"):
+            load_csv(path)
+        path = _write(tmp_path, "a,b\n\n1,2\n3\n", name="ragged.csv")
+        with pytest.raises(ParseError, match=r"ragged\.csv:4: expected 2 cells"):
+            load_csv(path)
+        path = _write(tmp_path, "\n1,2\n\n3,x\n", name="bare.csv")
+        with pytest.raises(ParseError, match=r"bare\.csv:4: non-numeric"):
+            load_csv(path, has_header=False)
+
     def test_na_fail(self, tmp_path):
         path = _write(tmp_path, "a,b\n1,2\nNA,4\n5,6\n")
         with pytest.raises(ParseError):

@@ -40,6 +40,10 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             spec(tau=1.0)
 
+    def test_rejects_unknown_mode_at_construction(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            spec(mode="pca")
+
 
 class TestGeneratePopulation:
     def test_single_vars_structure(self):
