@@ -118,14 +118,24 @@ def _load_square_array(path: str) -> np.ndarray:
                     raise ParseError(f"{path}: non-numeric matrix cell") from None
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ParseError(f"{path}: matrix file must be square and numeric")
-    return np.array(rows)
+    array = np.array(rows)
+    if not np.all(np.isfinite(array)):
+        raise ParseError(f"{path}: non-finite matrix cell")
+    return array
 
 
 def _workers() -> int:
+    """Worker count from ``PLA_THREADS``; an invalid value warns and gives 1."""
+    raw = os.environ.get("PLA_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("PLA_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers >= 1:
+        return workers
+    message = f"PLA_THREADS={raw!r} is not a positive integer; using 1 worker"
+    print(json.dumps({"warning": message}), file=sys.stderr)
+    return 1
 
 
 def _pla_flags(sub) -> None:

@@ -106,7 +106,6 @@ class BlockPartition:
 class PlaReport:
     partition: BlockPartition
     variable_names: tuple[str, ...]
-    eigen_summary: dict
     warnings: tuple[str, ...]
     recommendation: tuple[str, ...]
     config: PlaConfig
@@ -246,18 +245,17 @@ def _assign_cov_eigen_indices(
     return {b: tuple(np.flatnonzero(best == b).tolist()) for b in range(len(blocks))}
 
 
+def _variable_names(m: int) -> tuple[str, ...]:
+    return tuple(f"X{i + 1}" for i in range(m))
+
+
 def _resolve_inputs(data_or_matrix, mode: str):
-    """Return (cov, corr_or_None, names) for the requested mode."""
-    use_corr = mode.startswith("correlation")
+    """Return (cov, names): the covariance estimate the analysis starts from."""
     if isinstance(data_or_matrix, DataMatrix):
-        names = data_or_matrix.variable_names
-        cov = sample_covariance(data_or_matrix)
-        corr = correlation_from_covariance(cov, names) if use_corr else None
-        return cov, corr, names
+        return sample_covariance(data_or_matrix), data_or_matrix.variable_names
     if isinstance(data_or_matrix, DispersionMatrix):
         m = data_or_matrix
-        names = tuple(f"X{i + 1}" for i in range(m.size))
-        if use_corr:
+        if mode.startswith("correlation"):
             raise InsufficientInputError(
                 "correlation modes need the underlying data: the explained-"
                 "variance step requires covariance eigenvalues alongside the "
@@ -268,7 +266,7 @@ def _resolve_inputs(data_or_matrix, mode: str):
                 "covariance modes require a covariance matrix, got "
                 f"kind={m.kind!r}"
             )
-        return m, None, names
+        return m, _variable_names(m.size)
     raise TypeError(
         f"expected DataMatrix or DispersionMatrix, got {type(data_or_matrix)!r}"
     )
@@ -283,8 +281,22 @@ def run_pla(data_or_matrix, config: PlaConfig | None = None) -> PlaReport:
     correlation matrix deliberately removes.
     """
     config = config or PlaConfig()
-    cov, corr, names = _resolve_inputs(data_or_matrix, config.mode)
+    cov, names = _resolve_inputs(data_or_matrix, config.mode)
+    return _analyze(cov, names, config)
 
+
+def _analyze(
+    cov: DispersionMatrix, names: tuple[str, ...], config: PlaConfig
+) -> PlaReport:
+    """Everything after estimation: the analysis of one covariance matrix.
+
+    The correlation, when the mode needs it, is derived from ``cov``.
+    """
+    corr = (
+        correlation_from_covariance(cov, names)
+        if config.mode.startswith("correlation")
+        else None
+    )
     cov_es = eigendecompose(cov)
     detection_es = eigendecompose(corr) if corr is not None else cov_es
     loadings = (
@@ -339,14 +351,9 @@ def run_pla(data_or_matrix, config: PlaConfig | None = None) -> PlaReport:
             idx for b in partition.blocks if b.discardable for idx in b.variables
         )
     )
-    eigen_summary = {"covariance": cov_es.eigenvalues.tolist()}
-    if corr is not None:
-        eigen_summary["correlation"] = detection_es.eigenvalues.tolist()
-
     return PlaReport(
         partition=partition,
         variable_names=names,
-        eigen_summary=eigen_summary,
         warnings=tuple(warnings),
         recommendation=recommendation,
         config=config,

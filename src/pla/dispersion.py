@@ -66,6 +66,8 @@ class DispersionMatrix:
             raise DimensionError(f"need a non-empty square matrix, got {entries.shape}")
         if self.kind not in ("covariance", "correlation"):
             raise ValueError(f"unknown dispersion kind {self.kind!r}")
+        if not np.all(np.isfinite(entries)):
+            raise NumericalError(f"{self.kind} matrix has non-finite entries")
         scale = max(1.0, float(np.abs(entries).max()))
         dev = float(np.abs(entries - entries.T).max())
         if dev > SYMMETRY_TOL * scale:

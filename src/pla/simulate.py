@@ -4,6 +4,12 @@ A scenario plants either k mutually uncorrelated single variables or one
 internally correlated block of size kappa, both uncorrelated with a generic
 correlated remainder.  The Type I error is the share of iterations in which
 the detection step fails to isolate the planted structure.
+
+The analysis sees a simulated dataset only through its sample covariance S,
+and for N Gaussian rows (N-1)*S is Wishart W(Sigma, N-1).  Each iteration
+therefore draws S directly (``draw_covariance``, Bartlett decomposition) in
+O(M^3) time and O(M^2) memory, whatever N is.  ``draw_sample`` draws the rows
+themselves and serves as the data-level reference.
 """
 
 from __future__ import annotations
@@ -11,12 +17,14 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MODES, PlaConfig, run_pla
+from .core import MODES, PlaConfig, _analyze, _variable_names
+from .dispersion import DispersionMatrix
 from .errors import ConfigError, DimensionError, FactorizationError, PlaError
 from .ingest import DataMatrix
 
@@ -27,6 +35,7 @@ __all__ = [
     "ErrorEstimate",
     "generate_population",
     "draw_sample",
+    "draw_covariance",
     "type_one_error",
     "reproduce_table",
     "TABLE_GRIDS",
@@ -160,17 +169,51 @@ def generate_population(spec: ScenarioSpec, seed) -> PopulationModel:
     )
 
 
-def draw_sample(pop: PopulationModel, n: int, seed) -> DataMatrix:
-    """Draw n i.i.d. Gaussian rows via Cholesky; deterministic under seed."""
+def _cholesky(pop: PopulationModel) -> np.ndarray:
     try:
-        chol = np.linalg.cholesky(pop.covariance)
+        return np.linalg.cholesky(pop.covariance)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"population covariance is not positive definite: {exc}"
         ) from exc
+
+
+def draw_sample(pop: PopulationModel, n: int, seed) -> DataMatrix:
+    """Draw n i.i.d. Gaussian rows via Cholesky; deterministic under seed.
+
+    The Monte Carlo draws ``draw_covariance`` instead; the rows are the
+    data-level reference that its distribution is checked against.
+    """
+    chol = _cholesky(pop)
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((n, pop.covariance.shape[0])) @ chol.T
     return DataMatrix(values)
+
+
+def draw_covariance(pop: PopulationModel, n: int, seed) -> DispersionMatrix:
+    """Sample covariance of n Gaussian rows, drawn without drawing the rows.
+
+    With Sigma = L L^T and df = n - 1, the Bartlett decomposition (Smith &
+    Hocking 1972, Algorithm AS 53) gives df * S = (L A)(L A)^T, where A is
+    M x min(df, M), lower trapezoidal, with sqrt(chi2(df - i)) on the
+    diagonal and N(0, 1) entries below it.  When df < M this is the rank-df
+    matrix that n rows would give.  Costs O(M^3), not O(n M^2); same
+    distribution as ``sample_covariance(draw_sample(pop, n, seed))``, but a
+    different random stream.
+    """
+    if n < 2:
+        raise DimensionError("sample covariance needs at least 2 observations")
+    chol = _cholesky(pop)
+    m = chol.shape[0]
+    df = n - 1
+    k = min(df, m)
+    rng = np.random.default_rng(seed)
+    a = np.tril(rng.standard_normal((m, k)), -1)
+    a[np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(df - np.arange(k)))
+    la = chol @ a
+    cov = la @ la.T / df
+    cov = (cov + cov.T) / 2.0
+    return DispersionMatrix(cov, "covariance", source_n=n)
 
 
 def _recovered(report, planted: tuple[int, ...], scenario: str) -> bool:
@@ -205,8 +248,8 @@ def _run_iteration(spec: ScenarioSpec, master_seed: int, s: int) -> tuple[int, b
     config = PlaConfig(tau=spec.tau, mode=spec.mode, ev_cutoff=0.0)
     try:
         pop = generate_population(spec, pop_seed)
-        data = draw_sample(pop, spec.n_sample, sample_seed)
-        report = run_pla(data, config)
+        cov = draw_covariance(pop, spec.n_sample, sample_seed)
+        report = _analyze(cov, _variable_names(spec.m_total), config)
     except (PlaError, np.linalg.LinAlgError) as exc:
         log.warning("iteration %d failed numerically: %s", s, exc)
         return recorded, False, True
@@ -225,23 +268,27 @@ def _wilson_ci95(failures: int, n: int) -> tuple[float, float]:
 def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
     """Estimate the share of iterations where the planted drop was missed.
 
-    Each iteration regenerates a fresh population, draws a sample, and runs
-    the detection pipeline; success means every planted variable lies in a
-    block made only of planted variables (single-vars: the singletons may
-    share one block, see ``_recovered``) or the planted variables form
-    exactly one block (one-block).  Per-iteration seeds are derived from the
-    master seed, so the estimate is independent of worker scheduling.
+    Each iteration regenerates a fresh population, draws the sample
+    covariance of ``spec.n_sample`` Gaussian rows (``draw_covariance``), and
+    runs the detection pipeline on it; success means every planted variable
+    lies in a block made only of planted variables (single-vars: the
+    singletons may share one block, see ``_recovered``) or the planted
+    variables form exactly one block (one-block).  Per-iteration seeds are
+    derived from the master seed, so the estimate is independent of worker
+    scheduling.  At most ``min(workers, iterations, os.cpu_count())``
+    processes run; with one, no pool is started.
     """
     indices = range(mc.iterations)
-    if mc.workers > 1:
-        with ProcessPoolExecutor(max_workers=mc.workers) as pool:
+    workers = min(mc.workers, mc.iterations, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(
                     _run_iteration,
                     [spec] * mc.iterations,
                     [mc.master_seed] * mc.iterations,
                     indices,
-                    chunksize=max(1, mc.iterations // (4 * mc.workers)),
+                    chunksize=max(1, mc.iterations // (4 * workers)),
                 )
             )
     else:

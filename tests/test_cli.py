@@ -164,6 +164,29 @@ class TestBound:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, bad",
+    [("bound", "matrix"), ("bound", "delta"), ("sensitivity", "matrix")],
+)
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_matrix_cell_is_data_error(command, bad, cell, tmp_path, capsys):
+    good = write_matrix(tmp_path, "good.csv", np.eye(2))
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,{cell}\n{cell},1\n")
+    files = {"matrix": good, "delta": good, bad: str(path)}
+    if command == "bound":
+        argv = ["bound", "--matrix", files["matrix"], "--delta", files["delta"],
+                "--tau", "0.5"]
+    else:
+        argv = ["sensitivity", "--matrix", files["matrix"], "--variable", "0",
+                "--increments", "0.01"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["code"] == 3 and "non-finite" in err["message"]
+
+
 class TestSensitivity:
     def test_profile_payload(self, tmp_path, capsys):
         m = write_matrix(
@@ -211,6 +234,24 @@ class TestSimulate:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("threads", ["two", "0", "-3", ""])
+    def test_invalid_pla_threads_warns(self, threads, monkeypatch, capsys):
+        monkeypatch.setenv("PLA_THREADS", threads)
+        argv = ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
+                "--N", "500", "--tau", "0.4", "--S", "2"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        warning = json.loads(err[0])["warning"]
+        assert "PLA_THREADS" in warning and "using 1 worker" in warning
+
+    def test_valid_pla_threads_is_silent(self, monkeypatch, capsys):
+        monkeypatch.setenv("PLA_THREADS", "1")
+        argv = ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
+                "--N", "500", "--tau", "0.4", "--S", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_invalid_geometry_data_error(self, capsys):
         code = main(

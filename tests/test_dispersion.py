@@ -5,6 +5,7 @@ from pla import (
     DataMatrix,
     DegenerateColumnError,
     DispersionMatrix,
+    NumericalError,
     SymmetryError,
     correlation_from_covariance,
     eigendecompose,
@@ -100,6 +101,11 @@ class TestEigendecompose:
         m = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(SymmetryError):
             DispersionMatrix(m, "covariance")
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_rejects_non_finite(self, cell):
+        with pytest.raises(NumericalError, match="non-finite"):
+            DispersionMatrix(np.array([[1.0, cell], [cell, 1.0]]), "covariance")
 
     def test_correlation_trace_is_m(self):
         rng = np.random.default_rng(23)

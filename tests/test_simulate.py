@@ -1,16 +1,25 @@
+import os
+
 import numpy as np
 import pytest
 
+import pla.simulate
 from pla import (
     DimensionError,
     ErrorEstimate,
+    FactorizationError,
     MonteCarloSpec,
+    PlaConfig,
+    PopulationModel,
     ScenarioSpec,
+    draw_covariance,
     draw_sample,
     generate_population,
     reproduce_table,
+    run_pla,
     type_one_error,
 )
+from pla.simulate import _iteration_seeds, _recovered, _wilson_ci95
 
 
 def spec(**kw):
@@ -100,6 +109,118 @@ class TestDrawSample:
         assert np.abs(sample_cov - pop.covariance).max() < 0.02
 
 
+class TestDrawCovariance:
+    def test_determinism_and_metadata(self):
+        pop = generate_population(spec(), seed=4)
+        a = draw_covariance(pop, 50, seed=9)
+        b = draw_covariance(pop, 50, seed=9)
+        assert a.kind == "covariance" and a.source_n == 50
+        assert a.entries.shape == (6, 6)
+        assert a.entries.tobytes() == b.entries.tobytes()
+        np.testing.assert_array_equal(a.entries, a.entries.T)
+
+    @pytest.mark.parametrize("m, n", [(4, 10), (6, 4)])
+    def test_wishart_moments_and_rank(self, m, n):
+        # (n-1) S ~ W(Sigma, n-1): E S = Sigma and
+        # Var S_ij = (Sigma_ij^2 + Sigma_ii Sigma_jj) / (n-1), also when
+        # n - 1 < m and S is singular.
+        pop = generate_population(spec(m_total=m, count=1), seed=m)
+        sigma = pop.covariance
+        draws = np.array(
+            [draw_covariance(pop, n, seed=s).entries for s in range(10_000)]
+        )
+        var = (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / (n - 1)
+        se = np.sqrt(var / len(draws))
+        assert np.all(np.abs(draws.mean(axis=0) - sigma) < 4.5 * se)
+        np.testing.assert_allclose(draws.var(axis=0, ddof=1), var, rtol=0.1)
+        ranks = {int(np.linalg.matrix_rank(d)) for d in draws[:20]}
+        assert ranks == {min(n - 1, m)}
+
+    def test_needs_two_observations(self):
+        pop = generate_population(spec(), seed=4)
+        with pytest.raises(DimensionError):
+            draw_covariance(pop, 1, seed=0)
+
+    def test_indefinite_population_is_factorization_error(self):
+        pop = PopulationModel(np.diag([1.0, -1.0]), (1,), "single-vars")
+        with pytest.raises(FactorizationError):
+            draw_covariance(pop, 10, seed=0)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(m_total=6, count=1, n_sample=200, tau=0.4),
+            dict(m_total=6, scenario="one-block", count=2, n_sample=300, tau=0.6),
+        ],
+    )
+    def test_failure_rate_matches_row_sampler(self, kw):
+        # Reference loop at the data level: draw the rows, estimate S from
+        # them.  Same populations, independent sample streams.
+        s = spec(**kw)
+        iterations = 600
+        config = PlaConfig(tau=s.tau, mode=s.mode, ev_cutoff=0.0)
+        row_failures = 0
+        for i in range(iterations):
+            _, pop_seed, sample_seed = _iteration_seeds(1, i)
+            pop = generate_population(s, pop_seed)
+            report = run_pla(draw_sample(pop, s.n_sample, sample_seed), config)
+            row_failures += not _recovered(report, pop.planted, s.scenario)
+        rows_lo, rows_hi = _wilson_ci95(row_failures, iterations)
+        est = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=1))
+        lo, hi = est.wilson_ci95
+        assert 0.1 < est.rate < 0.9
+        assert lo <= rows_hi and rows_lo <= hi
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("no process pool should be started")
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "cpus, workers, iterations", [(1, 4, 3), (8, 4, 1), (None, 2, 3)]
+    )
+    def test_single_effective_worker_starts_no_pool(
+        self, monkeypatch, cpus, workers, iterations
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(pla.simulate, "ProcessPoolExecutor", _NoPool)
+        s = spec(n_sample=200)
+        seq = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=2))
+        got = type_one_error(
+            s, MonteCarloSpec(iterations=iterations, master_seed=2, workers=workers)
+        )
+        assert got == seq
+
+    def test_pool_size_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(pla.simulate, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        s = spec(n_sample=200)
+        type_one_error(s, MonteCarloSpec(iterations=5, master_seed=2, workers=8))
+        type_one_error(s, MonteCarloSpec(iterations=2, master_seed=2, workers=8))
+        assert _InlinePool.sizes == [3, 2]
+
+
 class TestTypeOneError:
     def test_single_iteration_rate(self):
         est = type_one_error(
@@ -123,6 +244,25 @@ class TestTypeOneError:
         )
         assert seq.failures == par.failures
         assert seq.iteration_seeds == par.iteration_seeds
+
+    def test_iterations_draw_no_rows(self, monkeypatch):
+        # Each iteration: one drawn covariance, no np.cov, one eigh for it
+        # and one for its correlation.
+        calls = {"cov": 0, "eigh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(pla.simulate, "draw_sample", None)
+        monkeypatch.setattr(np, "cov", counted("cov", np.cov))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        est = type_one_error(spec(n_sample=500), MonteCarloSpec(iterations=3))
+        assert est.numerical_failures == 0
+        assert calls == {"cov": 0, "eigh": 6}
 
     def test_wilson_interval_brackets_rate(self):
         est = type_one_error(
