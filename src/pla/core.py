@@ -245,10 +245,6 @@ def _assign_cov_eigen_indices(
     return {b: tuple(np.flatnonzero(best == b).tolist()) for b in range(len(blocks))}
 
 
-def _variable_names(m: int) -> tuple[str, ...]:
-    return tuple(f"X{i + 1}" for i in range(m))
-
-
 def _resolve_inputs(data_or_matrix, mode: str):
     """Return (cov, names): the covariance estimate the analysis starts from."""
     if isinstance(data_or_matrix, DataMatrix):
@@ -266,10 +262,17 @@ def _resolve_inputs(data_or_matrix, mode: str):
                 "covariance modes require a covariance matrix, got "
                 f"kind={m.kind!r}"
             )
-        return m, _variable_names(m.size)
+        return m, tuple(f"X{i + 1}" for i in range(m.size))
     raise TypeError(
         f"expected DataMatrix or DispersionMatrix, got {type(data_or_matrix)!r}"
     )
+
+
+def _detect(es: EigenSystem, mode: str, tau: float) -> BlockPartition:
+    """The detection step alone: rescale when ``mode`` asks for it, then detect."""
+    rescaled = mode.endswith("-rescaled")
+    loadings = rescale_eigenvectors(es) if rescaled else es.eigenvectors
+    return detect_blocks(loadings, tau)
 
 
 def run_pla(data_or_matrix, config: PlaConfig | None = None) -> PlaReport:
@@ -282,30 +285,12 @@ def run_pla(data_or_matrix, config: PlaConfig | None = None) -> PlaReport:
     """
     config = config or PlaConfig()
     cov, names = _resolve_inputs(data_or_matrix, config.mode)
-    return _analyze(cov, names, config)
-
-
-def _analyze(
-    cov: DispersionMatrix, names: tuple[str, ...], config: PlaConfig
-) -> PlaReport:
-    """Everything after estimation: the analysis of one covariance matrix.
-
-    The correlation, when the mode needs it, is derived from ``cov``.
-    """
-    corr = (
-        correlation_from_covariance(cov, names)
-        if config.mode.startswith("correlation")
-        else None
-    )
+    correlated = config.mode.startswith("correlation")
     cov_es = eigendecompose(cov)
-    detection_es = eigendecompose(corr) if corr is not None else cov_es
-    loadings = (
-        rescale_eigenvectors(detection_es)
-        if config.mode.endswith("-rescaled")
-        else detection_es.eigenvectors
-    )
-
-    partition = detect_blocks(loadings, config.tau)
+    detection_es = cov_es
+    if correlated:
+        detection_es = eigendecompose(correlation_from_covariance(cov, names))
+    partition = _detect(detection_es, config.mode, config.tau)
 
     warnings: list[str] = []
     if partition.residual:
@@ -323,9 +308,7 @@ def _analyze(
     if np.any(cov_es.eigenvalues <= 0.0):
         warnings.append("zero eigenvalue(s) in the covariance spectrum")
 
-    cov_indices = (
-        _assign_cov_eigen_indices(partition, cov_es) if corr is not None else None
-    )
+    cov_indices = _assign_cov_eigen_indices(partition, cov_es) if correlated else None
     scored = []
     for pos, block in enumerate(partition.blocks):
         exact = explained_variance_exact(block, cov_es)

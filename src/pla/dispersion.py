@@ -35,7 +35,6 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    kind: str
 
     @property
     def size(self) -> int:
@@ -57,7 +56,6 @@ class DispersionMatrix:
 
     entries: np.ndarray
     kind: str
-    source_n: int | None = None
     eigensystem: EigenSystem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,7 +87,7 @@ class DispersionMatrix:
                 raise NumericalError("correlation entries exceed 1 in magnitude")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(
-            self, "eigensystem", _canonical_eigensystem(eigvals, eigvecs, self.kind)
+            self, "eigensystem", _canonical_eigensystem(eigvals, eigvecs)
         )
 
     @property
@@ -103,7 +101,7 @@ def sample_covariance(data: DataMatrix) -> DispersionMatrix:
         raise DimensionError("sample covariance needs at least 2 observations")
     cov = np.cov(data.values, rowvar=False, ddof=1)
     cov = (cov + cov.T) / 2.0
-    return DispersionMatrix(cov, "covariance", source_n=data.n_rows)
+    return DispersionMatrix(cov, "covariance")
 
 
 def sample_correlation(data: DataMatrix) -> DispersionMatrix:
@@ -115,7 +113,14 @@ def correlation_from_covariance(
     cov: DispersionMatrix, names: tuple[str, ...] | None = None
 ) -> DispersionMatrix:
     """Normalize a covariance matrix to unit diagonal."""
-    var = np.diag(cov.entries)
+    return DispersionMatrix(_unit_diagonal(cov.entries, names), "correlation")
+
+
+def _unit_diagonal(
+    entries: np.ndarray, names: tuple[str, ...] | None = None
+) -> np.ndarray:
+    """Unit-diagonal rescaling of a covariance array, without validation."""
+    var = np.diag(entries)
     zero = np.flatnonzero(var <= 0.0)
     if zero.size:
         label = (
@@ -125,15 +130,13 @@ def correlation_from_covariance(
         )
         raise DegenerateColumnError(f"zero-variance column(s): {label}")
     d = np.sqrt(var)
-    corr = cov.entries / np.outer(d, d)
+    corr = entries / np.outer(d, d)
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
-    return DispersionMatrix(corr, "correlation", source_n=cov.source_n)
+    return corr
 
 
-def _canonical_eigensystem(
-    eigvals: np.ndarray, eigvecs: np.ndarray, kind: str
-) -> EigenSystem:
+def _canonical_eigensystem(eigvals: np.ndarray, eigvecs: np.ndarray) -> EigenSystem:
     """Canonical form of one ascending ``eigh`` result (see ``eigendecompose``).
 
     Runs of tied eigenvalues (each gap below EIGENVALUE_TIE_TOL * |trace|)
@@ -152,7 +155,7 @@ def _canonical_eigensystem(
     eigvals, eigvecs, peaks = eigvals[order], eigvecs[:, order], peaks[order]
 
     signs = np.where(eigvecs[peaks, np.arange(eigvecs.shape[1])] < 0.0, -1.0, 1.0)
-    return EigenSystem(eigvals, eigvecs * signs, kind=kind)
+    return EigenSystem(eigvals, eigvecs * signs)
 
 
 def eigendecompose(m: DispersionMatrix) -> EigenSystem:

@@ -8,8 +8,9 @@ the detection step fails to isolate the planted structure.
 The analysis sees a simulated dataset only through its sample covariance S,
 and for N Gaussian rows (N-1)*S is Wishart W(Sigma, N-1).  Each iteration
 therefore draws S directly (``draw_covariance``, Bartlett decomposition) in
-O(M^3) time and O(M^2) memory, whatever N is.  ``draw_sample`` draws the rows
-themselves and serves as the data-level reference.
+O(M^3) time and O(M^2) memory, whatever N is, and runs only detection on
+it, with one eigensolve.  ``draw_sample`` draws the rows themselves and
+serves as the data-level reference.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MODES, PlaConfig, _analyze, _variable_names
-from .dispersion import DispersionMatrix
+from .core import MODES, _detect
+from .dispersion import DispersionMatrix, _unit_diagonal
 from .errors import ConfigError, DimensionError, FactorizationError, PlaError
 from .ingest import DataMatrix
 
@@ -94,6 +95,10 @@ class ScenarioSpec:
             raise DimensionError(f"n_sample must be >= 2, got {self.n_sample}")
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
+        if not 0.0 <= self.epsilon_scale < math.inf:
+            raise ConfigError(
+                f"epsilon_scale must be finite and >= 0, got {self.epsilon_scale}"
+            )
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,8 @@ class MonteCarloSpec:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +197,7 @@ def draw_sample(pop: PopulationModel, n: int, seed) -> DataMatrix:
     return DataMatrix(values)
 
 
-def draw_covariance(pop: PopulationModel, n: int, seed) -> DispersionMatrix:
+def draw_covariance(pop: PopulationModel, n: int, seed) -> np.ndarray:
     """Sample covariance of n Gaussian rows, drawn without drawing the rows.
 
     With Sigma = L L^T and df = n - 1, the Bartlett decomposition (Smith &
@@ -198,8 +205,9 @@ def draw_covariance(pop: PopulationModel, n: int, seed) -> DispersionMatrix:
     M x min(df, M), lower trapezoidal, with sqrt(chi2(df - i)) on the
     diagonal and N(0, 1) entries below it.  When df < M this is the rank-df
     matrix that n rows would give.  Costs O(M^3), not O(n M^2); same
-    distribution as ``sample_covariance(draw_sample(pop, n, seed))``, but a
-    different random stream.
+    distribution as the entries of ``sample_covariance(draw_sample(...))``,
+    but a different random stream, and returned unvalidated as an array: a
+    Gram matrix is PSD by construction.
     """
     if n < 2:
         raise DimensionError("sample covariance needs at least 2 observations")
@@ -212,11 +220,10 @@ def draw_covariance(pop: PopulationModel, n: int, seed) -> DispersionMatrix:
     a[np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(df - np.arange(k)))
     la = chol @ a
     cov = la @ la.T / df
-    cov = (cov + cov.T) / 2.0
-    return DispersionMatrix(cov, "covariance", source_n=n)
+    return (cov + cov.T) / 2.0
 
 
-def _recovered(report, planted: tuple[int, ...], scenario: str) -> bool:
+def _recovered(partition, planted: tuple[int, ...], scenario: str) -> bool:
     """Did the detection step lead to a drop of the planted variables?
 
     single-vars: every planted variable sits in a balanced block made up of
@@ -228,12 +235,12 @@ def _recovered(report, planted: tuple[int, ...], scenario: str) -> bool:
     planted_set = set(planted)
     if scenario == "single-vars":
         covered = set()
-        for b in report.partition.blocks:
+        for b in partition.blocks:
             vars_ = set(b.variables)
             if vars_ <= planted_set:
                 covered |= vars_
         return covered == planted_set
-    return tuple(planted) in {b.variables for b in report.partition.blocks}
+    return tuple(planted) in {b.variables for b in partition.blocks}
 
 
 def _iteration_seeds(master_seed: int, s: int):
@@ -243,17 +250,23 @@ def _iteration_seeds(master_seed: int, s: int):
 
 
 def _run_iteration(spec: ScenarioSpec, master_seed: int, s: int) -> tuple[int, bool, bool]:
-    """One Monte Carlo draw: (recorded seed, success, numerical failure)."""
+    """One Monte Carlo draw: (recorded seed, success, numerical failure).
+
+    Only detection runs; the one ``eigh`` of its matrix also validates it.
+    """
     recorded, pop_seed, sample_seed = _iteration_seeds(master_seed, s)
-    config = PlaConfig(tau=spec.tau, mode=spec.mode, ev_cutoff=0.0)
     try:
         pop = generate_population(spec, pop_seed)
         cov = draw_covariance(pop, spec.n_sample, sample_seed)
-        report = _analyze(cov, _variable_names(spec.m_total), config)
+        if spec.mode.startswith("correlation"):
+            matrix = DispersionMatrix(_unit_diagonal(cov), "correlation")
+        else:
+            matrix = DispersionMatrix(cov, "covariance")
+        partition = _detect(matrix.eigensystem, spec.mode, spec.tau)
     except (PlaError, np.linalg.LinAlgError) as exc:
         log.warning("iteration %d failed numerically: %s", s, exc)
         return recorded, False, True
-    return recorded, _recovered(report, pop.planted, spec.scenario), False
+    return recorded, _recovered(partition, pop.planted, spec.scenario), False
 
 
 def _wilson_ci95(failures: int, n: int) -> tuple[float, float]:
@@ -270,12 +283,12 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
 
     Each iteration regenerates a fresh population, draws the sample
     covariance of ``spec.n_sample`` Gaussian rows (``draw_covariance``), and
-    runs the detection pipeline on it; success means every planted variable
-    lies in a block made only of planted variables (single-vars: the
-    singletons may share one block, see ``_recovered``) or the planted
-    variables form exactly one block (one-block).  Per-iteration seeds are
-    derived from the master seed, so the estimate is independent of worker
-    scheduling.  At most ``min(workers, iterations, os.cpu_count())``
+    runs only the detection step on it (one ``eigh``); success means every
+    planted variable lies in a block made only of planted variables
+    (single-vars: the singletons may share one block, see ``_recovered``) or
+    the planted variables form exactly one block (one-block).  Per-iteration
+    seeds are derived from the master seed, so the estimate is independent of
+    worker scheduling.  At most ``min(workers, iterations, os.cpu_count())``
     processes run; with one, no pool is started.
     """
     indices = range(mc.iterations)

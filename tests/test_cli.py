@@ -90,9 +90,19 @@ class TestAnalyze:
          "--N", "200", "--S", "0"],
         ["reproduce-table", "--table", "I", "--M", "8", "--k", "1",
          "--N", "200", "--tau", "0.4", "--tau", "1.5", "--S", "1"],
+        ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
+         "--N", "200", "--tau", "0.4", "--S", "1", "--seed", "-1"],
+        ["reproduce-table", "--table", "I", "--M", "8", "--k", "1",
+         "--N", "200", "--tau", "0.4", "--S", "1", "--seed", "-1"],
+        ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
+         "--N", "200", "--tau", "0.4", "--S", "1", "--epsilon-scale", "-0.1"],
+        ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
+         "--N", "200", "--tau", "0.4", "--S", "1", "--epsilon-scale", "nan"],
     ],
     ids=["analyze-tau", "analyze-ev-cutoff", "analyze-delimiter", "discard-tau",
-         "simulate-S", "simulate-tau", "reproduce-table-S", "reproduce-table-tau"],
+         "simulate-S", "simulate-tau", "reproduce-table-S", "reproduce-table-tau",
+         "simulate-seed", "reproduce-table-seed", "simulate-epsilon-scale",
+         "simulate-epsilon-scale-nan"],
 )
 def test_out_of_range_option_is_usage_error(argv, dataset, capsys):
     if argv[0] in ("analyze", "discard"):

@@ -54,7 +54,7 @@ class TestRescale:
         from pla.dispersion import EigenSystem
 
         vec = np.array([[0.9], [-0.3], [0.3]])
-        es = EigenSystem(np.array([1.0]), vec, "covariance")
+        es = EigenSystem(np.array([1.0]), vec)
         out = rescale_eigenvectors(es)
         np.testing.assert_allclose(out[:, 0], [1.0, -1 / 3, 1 / 3], atol=1e-12)
 
@@ -254,10 +254,46 @@ class TestRunPla:
             run_pla(m, PlaConfig(mode="correlation-rescaled"))
 
     def test_residual_warning(self):
-        # near-degenerate correlated trio at a tau that unbalances components
-        data = gaussian_sample(np.eye(3), 200, seed=45)
-        report = run_pla(data, PlaConfig(tau=0.99, mode="correlation"))
-        assert report.partition.residual or report.partition.blocks
+        # both loadings are 1/sqrt(2) < tau: no edge, two unbalanced variables
+        m = DispersionMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), "covariance")
+        report = run_pla(m, PlaConfig(tau=0.75, mode="covariance"))
+        assert report.warnings == (
+            "unbalanced components; residual variables: X1, X2",
+        )
+
+    @pytest.mark.parametrize(
+        "matrix, expected",
+        [
+            (
+                np.eye(3),
+                "near-degenerate eigenvalues detected; block assignment inside "
+                "the degenerate eigenspace is not well defined",
+            ),
+            (np.ones((2, 2)), "zero eigenvalue(s) in the covariance spectrum"),
+            (np.array([[2.0, 0.3], [0.3, 1.0]]), None),
+        ],
+        ids=["tied", "singular", "none"],
+    )
+    def test_spectrum_warnings(self, matrix, expected):
+        m = DispersionMatrix(matrix, "covariance")
+        report = run_pla(m, PlaConfig(mode="covariance"))
+        assert report.warnings == ((expected,) if expected else ())
+
+    def test_ev_formula_selects_discard_share(self):
+        # The coupled low-variance variable: ev_exact = 0.3 / 4.3 is its
+        # share of the trace, ev_approx its eigenvalue share, about 0.061.
+        cov = np.array([[2.0, 0.5, 0.2], [0.5, 2.0, 0.2], [0.2, 0.2, 0.3]])
+        m = DispersionMatrix(cov, "covariance")
+        for formula, discarded in (("exact", ()), ("approx", ("X3",))):
+            config = PlaConfig(
+                tau=0.5, mode="covariance", ev_cutoff=0.065, ev_formula=formula
+            )
+            report = run_pla(m, config)
+            block = {b.variables: b for b in report.partition.blocks}[(2,)]
+            assert block.ev_exact == pytest.approx(0.3 / 4.3, abs=1e-12)
+            assert block.ev_approx < 0.065 < block.ev_exact
+            assert block.discardable == bool(discarded)
+            assert report.recommendation == discarded
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,6 @@ class TestSampleCovariance:
         cov = sample_covariance(data)
         np.testing.assert_allclose(cov.entries, [[2.0, 2.0], [2.0, 2.0]])
         assert cov.kind == "covariance"
-        assert cov.source_n == 2
 
     def test_constant_column_zero_variance(self):
         data = DataMatrix(np.array([[1.0, 1.0], [-1.0, 1.0]]))

@@ -3,9 +3,11 @@ import os
 import numpy as np
 import pytest
 
+import pla.core
 import pla.simulate
 from pla import (
     DimensionError,
+    DispersionMatrix,
     ErrorEstimate,
     FactorizationError,
     MonteCarloSpec,
@@ -114,10 +116,18 @@ class TestDrawCovariance:
         pop = generate_population(spec(), seed=4)
         a = draw_covariance(pop, 50, seed=9)
         b = draw_covariance(pop, 50, seed=9)
-        assert a.kind == "covariance" and a.source_n == 50
-        assert a.entries.shape == (6, 6)
-        assert a.entries.tobytes() == b.entries.tobytes()
-        np.testing.assert_array_equal(a.entries, a.entries.T)
+        assert isinstance(a, np.ndarray)
+        assert a.shape == (6, 6)
+        assert a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(a, a.T)
+
+    @pytest.mark.parametrize("m, n", [(6, 4), (4, 10), (20, 50)])
+    def test_draw_is_a_valid_covariance(self, m, n):
+        # Returned unvalidated: a Gram matrix must pass validation as drawn,
+        # singular (n - 1 < m) or not.
+        pop = generate_population(spec(m_total=m, count=1), seed=m)
+        for s in range(20):
+            DispersionMatrix(draw_covariance(pop, n, seed=s), "covariance")
 
     @pytest.mark.parametrize("m, n", [(4, 10), (6, 4)])
     def test_wishart_moments_and_rank(self, m, n):
@@ -127,7 +137,7 @@ class TestDrawCovariance:
         pop = generate_population(spec(m_total=m, count=1), seed=m)
         sigma = pop.covariance
         draws = np.array(
-            [draw_covariance(pop, n, seed=s).entries for s in range(10_000)]
+            [draw_covariance(pop, n, seed=s) for s in range(10_000)]
         )
         var = (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / (n - 1)
         se = np.sqrt(var / len(draws))
@@ -164,7 +174,7 @@ class TestDrawCovariance:
             _, pop_seed, sample_seed = _iteration_seeds(1, i)
             pop = generate_population(s, pop_seed)
             report = run_pla(draw_sample(pop, s.n_sample, sample_seed), config)
-            row_failures += not _recovered(report, pop.planted, s.scenario)
+            row_failures += not _recovered(report.partition, pop.planted, s.scenario)
         rows_lo, rows_hi = _wilson_ci95(row_failures, iterations)
         est = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=1))
         lo, hi = est.wilson_ci95
@@ -246,10 +256,8 @@ class TestTypeOneError:
         assert seq.iteration_seeds == par.iteration_seeds
 
     def test_iterations_draw_no_rows(self, monkeypatch):
-        # Each iteration: one drawn covariance, no np.cov, one eigh for it
-        # and one for its correlation.
-        calls = {"cov": 0, "eigh": 0}
-
+        # Each iteration: one drawn covariance, no np.cov, and one eigh, of
+        # the correlation or of the covariance, whichever detection reads.
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -260,9 +268,31 @@ class TestTypeOneError:
         monkeypatch.setattr(pla.simulate, "draw_sample", None)
         monkeypatch.setattr(np, "cov", counted("cov", np.cov))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-        est = type_one_error(spec(n_sample=500), MonteCarloSpec(iterations=3))
-        assert est.numerical_failures == 0
-        assert calls == {"cov": 0, "eigh": 6}
+        for mode in pla.core.MODES:
+            calls = {"cov": 0, "eigh": 0}
+            est = type_one_error(
+                spec(n_sample=500, mode=mode), MonteCarloSpec(iterations=3)
+            )
+            assert est.numerical_failures == 0
+            assert calls == {"cov": 0, "eigh": 3}, mode
+
+    def test_iterations_do_not_score(self, monkeypatch):
+        # The Type I error reads only the partition: no explained variance,
+        # no covariance eigenvector assignment.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scoring ran inside a Monte Carlo iteration")
+
+        for name in (
+            "explained_variance_exact",
+            "explained_variance_approx",
+            "_assign_cov_eigen_indices",
+        ):
+            monkeypatch.setattr(pla.core, name, forbidden)
+        for mode in pla.core.MODES:
+            est = type_one_error(
+                spec(n_sample=500, mode=mode), MonteCarloSpec(iterations=2)
+            )
+            assert est.numerical_failures == 0
 
     def test_wilson_interval_brackets_rate(self):
         est = type_one_error(
