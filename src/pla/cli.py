@@ -109,7 +109,7 @@ def _render_text(payload: dict, indent: int = 0) -> str:
 
 def _load_square_array(path: str) -> np.ndarray:
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):
             if row:
                 try:

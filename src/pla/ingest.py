@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,15 +63,70 @@ def load_csv(
     With ``na_policy="drop-row"`` any row containing a cell that does not
     parse as a number, or parses as nan or inf, is removed; with ``"fail"``
     such a cell raises ParseError.  Errors cite physical line numbers, blank
-    lines included.
+    lines included.  The file is read as UTF-8; a leading byte-order mark is
+    skipped.
+
+    Two readers give the same result.  The header, if any, is the first
+    non-blank record of ``csv.reader``; the body below it is parsed by one
+    ``np.loadtxt`` call, which converts each cell as ``float`` does.  When
+    that call fails, or its result is empty or does not match the header's
+    width, the row-by-row reader ``_read_rows`` reads the whole file again:
+    it alone reports errors with line numbers and drops non-numeric rows
+    under ``drop-row``.  Non-finite rows are dropped after either reader.
     """
     if na_policy not in ("fail", "drop-row"):
         raise ConfigError(f"unknown na_policy {na_policy!r}")
     if len(delimiter) != 1:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
     path = Path(path)
+    names, values = _load_body(path, delimiter, has_header) or _read_rows(
+        path, delimiter, has_header, na_policy
+    )
+    width = len(names)
+    if width < 2:
+        raise DimensionError(f"{path}: need at least 2 columns, got {width}")
+    if na_policy == "drop-row":
+        values = values[np.isfinite(values).all(axis=1)]
+    if len(values) < 2:
+        raise DimensionError(f"{path}: need at least 2 usable rows, got {len(values)}")
+    return DataMatrix(values, names)
+
+
+def _load_body(path: Path, delimiter: str, has_header: bool):
+    """Names and values with the body parsed by ``np.loadtxt``, else None."""
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            names = None
+            if has_header:
+                records = csv.reader(fh, delimiter=delimiter)
+                first = next((row for row in records if row), None)
+                if first is None:
+                    return None
+                names = tuple(cell.strip() for cell in first)
+            with warnings.catch_warnings():
+                # a body without rows goes to _read_rows, which names the fault
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
+                )
+                values = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2)
+    except (ValueError, TypeError):  # TypeError: numpy refuses "\n" or "\r"
+        return None
+    if names is None:
+        names = tuple(f"X{i + 1}" for i in range(values.shape[1]))
+    if len(values) == 0 or values.shape[1] != len(names):
+        return None
+    return names, values
+
+
+def _read_rows(path: Path, delimiter: str, has_header: bool, na_policy: str):
+    """Names and values read row by row with ``csv.reader`` and ``float``.
+
+    The reference reader: it raises every ParseError of ``load_csv``, each
+    citing the physical line, and under ``drop-row`` skips rows with a
+    non-numeric cell.
+    """
     parsed: list[list[float]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         rows = ((reader.line_num, row) for row in reader if row)
         first = next(rows, None)
@@ -96,14 +152,7 @@ def load_csv(
                         f"{path}:{lineno}: non-numeric cell under na_policy=fail"
                     ) from None
                 # drop-row: skip this observation
-    if width < 2:
-        raise DimensionError(f"{path}: need at least 2 columns, got {width}")
-    values = np.array(parsed, dtype=float).reshape(-1, width)
-    if na_policy == "drop-row":
-        values = values[np.isfinite(values).all(axis=1)]
-    if len(values) < 2:
-        raise DimensionError(f"{path}: need at least 2 usable rows, got {len(values)}")
-    return DataMatrix(values, names)
+    return names, np.array(parsed, dtype=float).reshape(-1, width)
 
 
 def write_csv(data: DataMatrix, path, delimiter: str = ",") -> None:

@@ -19,7 +19,6 @@ import itertools
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,6 +293,9 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
     indices = range(mc.iterations)
     workers = min(mc.workers, mc.iterations, os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(

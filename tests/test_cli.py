@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pla
 from pla import DataMatrix, load_csv, write_csv
 from pla.cli import main
 
@@ -163,6 +166,14 @@ class TestBound:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 4
 
+    def test_matrix_with_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff2,0\n0,1\n".encode("utf-8"))
+        delta = write_matrix(tmp_path, "d.csv", np.zeros((2, 2)))
+        code = main(["bound", "--matrix", str(path), "--delta", delta, "--tau", "0.2"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["eigengaps"] == [1.0, 1.0]
+
     def test_ragged_matrix_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3\n")
@@ -298,3 +309,16 @@ class TestReproduceTable:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("M,k_or_kappa,N,tau")
+
+
+def test_import_starts_no_process_machinery():
+    # One-worker commands never start a pool; importing it costs start-up time.
+    src = os.path.dirname(os.path.dirname(pla.__file__))
+    probe = (
+        "import sys, pla.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pla.ingest
 from pla import (
     DataMatrix,
     DegenerateColumnError,
@@ -16,7 +21,7 @@ from pla import (
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8"))
     return path
 
 
@@ -89,6 +94,136 @@ class TestLoadCsv:
         again = load_csv(path)
         assert again.variable_names == data.variable_names
         np.testing.assert_array_equal(again.values, data.values)
+
+    @pytest.mark.parametrize(
+        "text, has_header, error, message",
+        [
+            ("", True, ParseError, "empty file"),
+            ("\n\n", False, ParseError, "empty file"),
+            ("a,b\n", True, DimensionError, "need at least 2 usable rows, got 0"),
+            ("a,b\n\n\r\n\n", True, DimensionError, "need at least 2 usable rows, got 0"),
+            ("a,b\n1,2\n", True, DimensionError, "need at least 2 usable rows, got 1"),
+            ("1,2\n", False, DimensionError, "need at least 2 usable rows, got 1"),
+        ],
+    )
+    def test_too_little_data_names_the_fault(
+        self, tmp_path, text, has_header, error, message
+    ):
+        path = _write(tmp_path, text)
+        with pytest.raises(error) as info:
+            load_csv(path, has_header=has_header)
+        assert type(info.value) is error
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b,c\n1,2\n3,4\n", "2: expected 3 cells, got 2"),
+            ("a,b\n1,2\n#3,4\n5,6\n", "3: non-numeric cell under na_policy=fail"),
+        ],
+    )
+    def test_cells_numpy_would_misread_are_errors(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_quoted_and_underscored_cells_read_as_float_reads_them(self, tmp_path):
+        path = _write(tmp_path, 'a,b\n"3",1_0\n\uff14,5\n')
+        np.testing.assert_array_equal(load_csv(path).values, [[3, 10], [4, 5]])
+
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_clean_body_is_parsed_without_the_row_reader(self, tmp_path, has_header):
+        text = ("a;b\r\n" if has_header else "") + " 1 ;2.5\r\n\r\n-3e2; .5 \r\n"
+        path = _write(tmp_path, text)
+        with mock.patch.object(pla.ingest, "_read_rows", side_effect=AssertionError):
+            data = load_csv(path, delimiter=";", has_header=has_header)
+        np.testing.assert_array_equal(data.values, [[1.0, 2.5], [-300.0, 0.5]])
+        assert data.variable_names == (("a", "b") if has_header else ("X1", "X2"))
+
+
+class TestByteOrderMark:
+    # Excel and other Windows tools start UTF-8 files with U+FEFF.
+    def test_header_names_are_clean(self, tmp_path):
+        path = _write(tmp_path, "\ufeffa,b\n1,2\n3,5\n")
+        assert load_csv(path).variable_names == ("a", "b")
+
+    def test_first_cell_without_header_is_numeric(self, tmp_path):
+        path = _write(tmp_path, "\ufeff1,2\n3,5\n")
+        np.testing.assert_array_equal(load_csv(path, has_header=False).values,
+                                      [[1, 2], [3, 5]])
+
+    def test_drop_row_keeps_the_first_observation(self, tmp_path):
+        path = _write(tmp_path, "\ufeff1,2\n3,5\n4,x\n6,7\n8,9\n")
+        data = load_csv(path, has_header=False, na_policy="drop-row")
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 5], [6, 7], [8, 9]])
+
+
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map(lambda x: "%.17g" % x),
+    st.integers(-(10**20), 10**20).map(str),
+)
+PADDING = st.sampled_from(["", " ", "  ", "\t"])
+ODD_CELLS = st.sampled_from(
+    ["nan", "-inf", "Infinity", "1.", ".5", "1e500", "-1e-400", "1_0", '"1"',
+     '"1,5"', "NA", "x", "#1", "", " ", "\uff11", "0x10", "\xa02"]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Numeric CSV text with up to three of the faults a real file may have."""
+    delimiter = draw(st.sampled_from([",", ",", ";", "\t", " "]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    width = draw(st.integers(1, 4))
+    cell = st.one_of(NUMBERS, st.tuples(PADDING, NUMBERS, PADDING).map("".join))
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=6))
+    lines = [delimiter.join(row) for row in rows]
+    for fault in draw(st.lists(st.sampled_from(["cell", "line", "trailing"]), max_size=3)):
+        if fault == "cell" and rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i][draw(st.integers(0, width - 1))] = draw(ODD_CELLS)
+            lines[i] = delimiter.join(rows[i])
+        elif fault == "line":
+            stray = ["", " ", "1", "1" + delimiter, delimiter.join("1" * (width + 1))]
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(stray)))
+        elif lines:
+            lines[-1] += delimiter
+    if draw(st.booleans()):
+        header_width = draw(st.sampled_from([width, width, width + 1, 1]))
+        lines.insert(0, delimiter.join(f"v{i}" for i in range(header_width)))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return delimiter, draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def _outcome(path, **kwargs):
+    try:
+        data = load_csv(path, **kwargs)
+    except Exception as exc:  # the outcome under test, whatever it is
+        return type(exc), str(exc)
+    return data.variable_names, data.values.shape, data.values.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_texts(), st.booleans(), st.sampled_from(["fail", "drop-row"]))
+def test_load_csv_matches_the_row_reader(tmp_path_factory, case, has_header, na_policy):
+    delimiter, text = case
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    kwargs = dict(delimiter=delimiter, has_header=has_header, na_policy=na_policy)
+    got = _outcome(path, **kwargs)
+    with mock.patch.object(pla.ingest, "_load_body", return_value=None):
+        want = _outcome(path, **kwargs)
+    assert got == want
+
+
+@pytest.mark.parametrize("delimiter", ["\n", "\r"])
+def test_newline_delimiter_matches_the_row_reader(tmp_path, delimiter):
+    path = _write(tmp_path, "a,b\n1,2\n3,4\n")
+    got = _outcome(path, delimiter=delimiter)
+    with mock.patch.object(pla.ingest, "_load_body", return_value=None):
+        assert got == _outcome(path, delimiter=delimiter)
 
 
 class TestDataMatrixInvariants:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 
 import numpy as np
@@ -213,7 +214,7 @@ class TestWorkerCount:
         self, monkeypatch, cpus, workers, iterations
     ):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(pla.simulate, "ProcessPoolExecutor", _NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
         s = spec(n_sample=200)
         seq = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=2))
         got = type_one_error(
@@ -223,7 +224,7 @@ class TestWorkerCount:
 
     def test_pool_size_is_clamped(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(pla.simulate, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(_InlinePool, "sizes", [])
         s = spec(n_sample=200)
         type_one_error(s, MonteCarloSpec(iterations=5, master_seed=2, workers=8))
