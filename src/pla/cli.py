@@ -7,6 +7,7 @@ Errors are printed to stderr as single-line JSON {"code", "message"}.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .core import MODES, PlaConfig, discard, run_pla
-from .dispersion import DispersionMatrix, eigendecompose
+from .dispersion import DispersionMatrix
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -31,7 +32,7 @@ from .errors import (
     ZeroTraceError,
 )
 from .ingest import load_csv, write_csv
-from .perturbation import PerturbationPair, eigengap_bound, variance_sensitivity
+from .perturbation import eigengap_bound, variance_sensitivity
 from .simulate import MonteCarloSpec, ScenarioSpec, reproduce_table, type_one_error
 
 EXIT_OK = 0
@@ -46,9 +47,7 @@ _DATA_ERRORS = (
     ConsistencyError,
     InsufficientInputError,
     UnicodeDecodeError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
+    OSError,
 )
 _NUMERICAL_ERRORS = (
     SymmetryError,
@@ -59,24 +58,16 @@ _NUMERICAL_ERRORS = (
 )
 
 
-class CliExit(SystemExit):
-    pass
-
-
 def _report_error(code: int, message) -> int:
     print(json.dumps({"code": code, "message": str(message)}), file=sys.stderr)
     return code
 
 
-def _fail(code: int, message: str) -> None:
-    raise CliExit(_report_error(code, message))
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse with the JSON-on-stderr usage-error contract."""
+    """argparse whose usage errors reach ``main`` as ``ConfigError`` (exit 2)."""
 
     def error(self, message):
-        _fail(EXIT_USAGE, message)
+        raise ConfigError(message)
 
 
 def _emit(payload: dict, out: str | None, as_text: bool = False) -> None:
@@ -105,6 +96,11 @@ def _render_text(payload: dict, indent: int = 0) -> str:
         else:
             lines.append(f"{pad}{key}: {value}")
     return "\n".join(lines) + ("\n" if indent == 0 else "")
+
+
+def _json_float(x) -> float | None:
+    """``x`` as a float, or None where it is not finite: JSON has no inf or nan."""
+    return float(x) if np.isfinite(x) else None
 
 
 def _load_square_array(path: str) -> np.ndarray:
@@ -236,14 +232,12 @@ def _cmd_discard(args) -> int:
 
 def _cmd_bound(args) -> int:
     base = DispersionMatrix(_load_square_array(args.matrix), args.kind)
-    delta = _load_square_array(args.delta)
-    pair = PerturbationPair(base, delta)
-    diag = eigengap_bound(eigendecompose(base), pair, args.tau)
+    diag = eigengap_bound(base, _load_square_array(args.delta), args.tau)
     payload = {
         "tau": args.tau,
-        "frobenius_norm": pair.frobenius_norm,
-        "eigengaps": diag.eigengaps.tolist(),
-        "bounds": [None if not np.isfinite(b) else float(b) for b in diag.bounds],
+        "frobenius_norm": _json_float(diag.frobenius_norm),
+        "eigengaps": [_json_float(g) for g in diag.eigengaps],
+        "bounds": [_json_float(b) for b in diag.bounds],
         "implies_below_tau": diag.implies_below_tau.tolist(),
     }
     _emit(payload, args.out, as_text=args.format == "text")
@@ -255,17 +249,17 @@ def _cmd_sensitivity(args) -> int:
     try:
         increments = [float(x) for x in args.increments.split(",") if x.strip()]
     except ValueError:
-        _fail(EXIT_USAGE, "--increments must be comma-separated numbers")
+        raise ConfigError("--increments must be comma-separated numbers") from None
     try:
         profile = variance_sensitivity(matrix, args.variable, increments)
     except (ValueError, IndexError) as exc:
-        _fail(EXIT_USAGE, str(exc))
+        raise ConfigError(str(exc)) from None
     payload = {
         "target_variable": profile.target_variable,
         "eigen_index": profile.eigen_index,
         "increments": profile.increments.tolist(),
         "finite_differences": [
-            None if d is None else d.tolist() for d in profile.diffs
+            None if d is None else [_json_float(x) for x in d] for d in profile.diffs
         ],
         "tracking_errors": list(profile.tracking_errors),
         "sign_contract_ok": list(profile.sign_contract_ok),
@@ -293,27 +287,27 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reproduce_table(args) -> int:
     mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=_workers())
-    start = time.time()
-    rows = reproduce_table(args.table, mc, m_values=args.M,
-                           count_values=args.count, n_values=args.N, taus=args.tau)
     header = ["M", "k_or_kappa", "N", "tau", "rate", "ci_low", "ci_high", "S"]
-    target = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(target, fieldnames=header)
+    with contextlib.ExitStack() as stack:
+        # Open both paths before the grid runs, so a bad one fails at once.
+        out, manifest = (
+            stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+            if path else None
+            for path in (args.out, args.manifest)
+        )
+        start = time.time()
+        rows = reproduce_table(args.table, mc, m_values=args.M, count_values=args.count,
+                               n_values=args.N, taus=args.tau)
+        writer = csv.DictWriter(out or sys.stdout, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.out:
-            target.close()
-    if args.manifest:
-        manifest = {
-            "table": args.table, "S": args.S, "master_seed": args.seed,
-            "M": args.M, "k_or_kappa": args.count, "N": args.N, "tau": args.tau,
-            "rows": len(rows), "wall_time_s": time.time() - start,
-        }
-        with open(args.manifest, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        if manifest:
+            json.dump({
+                "table": args.table, "S": args.S, "master_seed": args.seed,
+                "M": args.M, "k_or_kappa": args.count, "N": args.N, "tau": args.tau,
+                "rows": len(rows), "wall_time_s": time.time() - start,
+            }, manifest, indent=2, sort_keys=True)
+            manifest.write("\n")
     return EXIT_OK
 
 
@@ -332,8 +326,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CliExit as exc:
-        return int(exc.code)
     except ConfigError as exc:
         return _report_error(EXIT_USAGE, exc)
     except _DATA_ERRORS as exc:

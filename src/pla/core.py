@@ -17,7 +17,6 @@ from .dispersion import (
     DispersionMatrix,
     EigenSystem,
     correlation_from_covariance,
-    eigendecompose,
     sample_covariance,
 )
 from .errors import (
@@ -262,7 +261,7 @@ def _resolve_inputs(data_or_matrix, mode: str):
                 "covariance modes require a covariance matrix, got "
                 f"kind={m.kind!r}"
             )
-        return m, tuple(f"X{i + 1}" for i in range(m.size))
+        return m, tuple(f"X{i + 1}" for i in range(len(m.entries)))
     raise TypeError(
         f"expected DataMatrix or DispersionMatrix, got {type(data_or_matrix)!r}"
     )
@@ -286,10 +285,10 @@ def run_pla(data_or_matrix, config: PlaConfig | None = None) -> PlaReport:
     config = config or PlaConfig()
     cov, names = _resolve_inputs(data_or_matrix, config.mode)
     correlated = config.mode.startswith("correlation")
-    cov_es = eigendecompose(cov)
+    cov_es = cov.eigensystem
     detection_es = cov_es
     if correlated:
-        detection_es = eigendecompose(correlation_from_covariance(cov, names))
+        detection_es = correlation_from_covariance(cov.entries, names).eigensystem
     partition = _detect(detection_es, config.mode, config.tau)
 
     warnings: list[str] = []

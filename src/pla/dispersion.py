@@ -19,7 +19,7 @@ __all__ = [
     "EigenSystem",
     "sample_covariance",
     "sample_correlation",
-    "eigendecompose",
+    "correlation_from_covariance",
 ]
 
 # Tolerances, fixed once; the relative scale is max(1, max|entry|).
@@ -50,8 +50,11 @@ class DispersionMatrix:
     """Symmetric PSD M x M matrix tagged as covariance or correlation.
 
     Validation is the matrix's one symmetric eigensolve: the PSD check reads
-    the eigenvalues of the decomposition that is then kept as
-    ``eigensystem`` and returned by ``eigendecompose``.
+    the eigenvalues of the decomposition that is then kept, in canonical
+    form, as ``eigensystem``.  There the eigenvalues are non-increasing,
+    small negative values within the PSD tolerance are clamped to zero, and
+    in each eigenvector the entry of largest magnitude (lowest index on
+    ties) is positive.
     """
 
     entries: np.ndarray
@@ -67,13 +70,17 @@ class DispersionMatrix:
         if not np.all(np.isfinite(entries)):
             raise NumericalError(f"{self.kind} matrix has non-finite entries")
         scale = max(1.0, float(np.abs(entries).max()))
-        dev = float(np.abs(entries - entries.T).max())
+        with np.errstate(over="ignore"):  # an infinite asymmetry is rejected
+            dev = float(np.abs(entries - entries.T).max())
         if dev > SYMMETRY_TOL * scale:
             raise SymmetryError(f"{self.kind}: asymmetry {dev:.3e} exceeds tolerance")
         try:
             eigvals, eigvecs = np.linalg.eigh(entries)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver failed: {exc}") from exc
+        with np.errstate(over="ignore"):
+            if not np.isfinite(eigvals.sum()):
+                raise NumericalError(f"{self.kind} matrix eigenvalues overflow")
         norm = float(np.abs(eigvals).max())
         if eigvals.min() < -PSD_TOL * max(norm, 1.0):
             raise NumericalError(
@@ -90,54 +97,43 @@ class DispersionMatrix:
             self, "eigensystem", _canonical_eigensystem(eigvals, eigvecs)
         )
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
 
 def sample_covariance(data: DataMatrix) -> DispersionMatrix:
     """Unbiased (N-1) sample covariance of the data columns."""
     if data.n_rows < 2:
         raise DimensionError("sample covariance needs at least 2 observations")
-    cov = np.cov(data.values, rowvar=False, ddof=1)
-    cov = (cov + cov.T) / 2.0
+    # Overflow leaves non-finite entries, which DispersionMatrix rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.cov(data.values, rowvar=False, ddof=1)
+        cov = (cov + cov.T) / 2.0
     return DispersionMatrix(cov, "covariance")
 
 
 def sample_correlation(data: DataMatrix) -> DispersionMatrix:
     """Sample correlation of the data columns; constant columns are an error."""
-    return correlation_from_covariance(sample_covariance(data), data.variable_names)
+    return correlation_from_covariance(
+        sample_covariance(data).entries, data.variable_names
+    )
 
 
 def correlation_from_covariance(
-    cov: DispersionMatrix, names: tuple[str, ...] | None = None
-) -> DispersionMatrix:
-    """Normalize a covariance matrix to unit diagonal."""
-    return DispersionMatrix(_unit_diagonal(cov.entries, names), "correlation")
-
-
-def _unit_diagonal(
     entries: np.ndarray, names: tuple[str, ...] | None = None
-) -> np.ndarray:
-    """Unit-diagonal rescaling of a covariance array, without validation."""
+) -> DispersionMatrix:
+    """Normalize a covariance array to unit diagonal; ``names`` label errors."""
     var = np.diag(entries)
     zero = np.flatnonzero(var <= 0.0)
     if zero.size:
-        label = (
-            ", ".join(names[i] for i in zero)
-            if names
-            else ", ".join(str(i) for i in zero)
-        )
+        label = ", ".join(names[i] if names else str(i) for i in zero)
         raise DegenerateColumnError(f"zero-variance column(s): {label}")
     d = np.sqrt(var)
     corr = entries / np.outer(d, d)
     corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
-    return corr
+    return DispersionMatrix(corr, "correlation")
 
 
 def _canonical_eigensystem(eigvals: np.ndarray, eigvecs: np.ndarray) -> EigenSystem:
-    """Canonical form of one ascending ``eigh`` result (see ``eigendecompose``).
+    """Canonical form of one ascending ``eigh`` result (see ``DispersionMatrix``).
 
     Runs of tied eigenvalues (each gap below EIGENVALUE_TIE_TOL * |trace|)
     are ordered by the row index of each eigenvector's largest-magnitude
@@ -157,14 +153,3 @@ def _canonical_eigensystem(eigvals: np.ndarray, eigvecs: np.ndarray) -> EigenSys
     signs = np.where(eigvecs[peaks, np.arange(eigvecs.shape[1])] < 0.0, -1.0, 1.0)
     return EigenSystem(eigvals, eigvecs * signs)
 
-
-def eigendecompose(m: DispersionMatrix) -> EigenSystem:
-    """Full symmetric eigendecomposition with a deterministic sign convention.
-
-    Eigenvalues are returned in non-increasing order; small negative values
-    within the PSD tolerance are clamped to zero.  In each eigenvector the
-    entry of largest magnitude (lowest index on ties) is made positive.
-    Nothing is solved here: the one ``eigh`` call that validated ``m`` at
-    construction produced this eigensystem, and it is returned as stored.
-    """
-    return m.eigensystem

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionMatrix, EigenSystem, eigendecompose
-from .errors import SymmetryError
+from .dispersion import SYMMETRY_TOL, DispersionMatrix
+from .errors import ConfigError, SymmetryError
 
 __all__ = [
-    "PerturbationPair",
     "BoundDiagnostic",
     "SensitivityProfile",
     "eigengap_bound",
@@ -27,64 +26,50 @@ TRACKING_MIN_OVERLAP = 0.7
 
 
 @dataclass(frozen=True)
-class PerturbationPair:
-    """A base dispersion matrix together with a symmetric perturbation."""
-
-    base: DispersionMatrix
-    delta: np.ndarray
-
-    def __post_init__(self):
-        delta = np.asarray(self.delta, dtype=float)
-        if delta.shape != self.base.entries.shape:
-            raise SymmetryError(
-                f"delta shape {delta.shape} does not match base "
-                f"{self.base.entries.shape}"
-            )
-        scale = max(1.0, float(np.abs(delta).max(initial=0.0)))
-        if np.abs(delta - delta.T).max(initial=0.0) > 1e-12 * scale:
-            raise SymmetryError("perturbation is not symmetric")
-        object.__setattr__(self, "delta", delta)
-
-    @property
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.delta, "fro"))
-
-    def perturbed(self) -> np.ndarray:
-        return self.base.entries + self.delta
-
-
-@dataclass(frozen=True)
 class BoundDiagnostic:
-    """Per-eigenvalue eigengaps, perturbation bounds, and threshold flags."""
+    """Perturbation size, per-eigenvalue eigengaps, bounds and threshold flags."""
 
+    frobenius_norm: float
     eigengaps: np.ndarray
     bounds: np.ndarray
     implies_below_tau: np.ndarray
-    tau: float
 
 
-def eigengap_bound(
-    base_es: EigenSystem, pair: PerturbationPair, tau: float
-) -> BoundDiagnostic:
+def eigengap_bound(base: DispersionMatrix, delta, tau: float) -> BoundDiagnostic:
     """Sufficient bound on each eigenvector's sup-norm perturbation.
 
-    For eigenvalue j with spectral gap g_j = min(lambda_{j-1} - lambda_j,
-    lambda_j - lambda_{j+1}) (outer neighbors at +/- infinity), the
-    perturbation of eigenvector j is at most 2^{3/2} ||delta||_F / g_j in the
-    2-norm, hence in the sup-norm.  ``implies_below_tau[j]`` is True when
-    that bound is below tau; False asserts nothing (one-sided check).
+    ``delta`` is a symmetric perturbation of ``base``'s shape.  For
+    eigenvalue j of ``base`` with spectral gap g_j = min over i != j of
+    |lambda_i - lambda_j| (infinite for a 1 x 1 matrix), the perturbation
+    of eigenvector j is at most 2^{3/2} ||delta||_F / g_j in the 2-norm
+    (Yu, Wang & Samworth 2015), hence in the sup-norm.
+    ``implies_below_tau[j]`` is True when that bound is below tau; False
+    asserts nothing (one-sided check).
     """
-    lam = base_es.eigenvalues
-    padded = np.concatenate(([np.inf], lam, [-np.inf]))
-    gaps = np.minimum(padded[:-2] - padded[1:-1], padded[1:-1] - padded[2:])
-    gaps = np.maximum(gaps, 0.0)
+    if not 0.0 < tau < 1.0:
+        raise ConfigError(f"tau must lie in (0, 1), got {tau}")
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != base.entries.shape:
+        raise SymmetryError(
+            f"delta shape {delta.shape} does not match base {base.entries.shape}"
+        )
+    # All pairs, not neighbors: the canonical order of a tie run is unsorted.
+    lam = base.eigensystem.eigenvalues
+    dist = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(dist, np.inf)
+    gaps = dist.min(axis=1)
 
-    fro = pair.frobenius_norm
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Overflow gives an inf asymmetry (rejected) or an inf bound (no certificate).
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = max(1.0, float(np.abs(delta).max(initial=0.0)))
+        if np.abs(delta - delta.T).max(initial=0.0) > SYMMETRY_TOL * scale:
+            raise SymmetryError("perturbation is not symmetric")
+        fro = float(np.linalg.norm(delta, "fro"))
         bounds = 2.0 ** 1.5 * fro / gaps
-    bounds = np.where(fro == 0.0, 0.0, bounds)
-    bounds = np.where(gaps == 0.0, np.where(fro == 0.0, 0.0, np.inf), bounds)
-    return BoundDiagnostic(gaps, bounds, bounds < tau, tau)
+    bounds = np.where(gaps == 0.0, np.inf, bounds)
+    # delta.any(), not fro > 0: the norm underflows to 0 for tiny entries.
+    bounds = np.where(delta.any(), bounds, 0.0)
+    return BoundDiagnostic(fro, gaps, bounds, bounds < tau)
 
 
 @dataclass(frozen=True)
@@ -124,8 +109,10 @@ def variance_sensitivity(
         raise ValueError("increments must be a non-empty 1-d grid")
     if np.any(increments <= 0.0) or np.any(np.diff(increments) <= 0.0):
         raise ValueError("increments must be strictly positive and increasing")
+    if not np.all(np.isfinite(increments)):
+        raise ValueError("increments must be finite")
 
-    base_es = eigendecompose(m)
+    base_es = m.eigensystem
     size = base_es.size
     if not 0 <= d < size:
         raise IndexError(f"variable index {d} out of range for size {size}")
@@ -136,8 +123,9 @@ def variance_sensitivity(
     diffs, errors, sign_ok = [], [], []
     for mu in increments:
         perturbed = m.entries.copy()
-        perturbed[d, d] += mu
-        es = eigendecompose(DispersionMatrix(perturbed, "covariance"))
+        with np.errstate(over="ignore"):  # DispersionMatrix rejects an inf
+            perturbed[d, d] += mu
+        es = DispersionMatrix(perturbed, "covariance").eigensystem
         overlaps = es.eigenvectors.T @ v0
         j = int(np.argmax(np.abs(overlaps)))
         if abs(overlaps[j]) < TRACKING_MIN_OVERLAP:
@@ -149,7 +137,8 @@ def variance_sensitivity(
             sign_ok.append(None)
             continue
         v1 = es.eigenvectors[:, j] * np.sign(overlaps[j])
-        fd = (np.abs(v1) - abs_v0) / mu
+        with np.errstate(over="ignore"):  # a tiny step can overflow: fd = inf
+            fd = (np.abs(v1) - abs_v0) / mu
         diffs.append(fd)
         errors.append(None)
 

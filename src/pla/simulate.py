@@ -19,12 +19,12 @@ import itertools
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import MODES, _detect
-from .dispersion import DispersionMatrix, _unit_diagonal
+from .dispersion import DispersionMatrix, correlation_from_covariance
 from .errors import ConfigError, DimensionError, FactorizationError, PlaError
 from .ingest import DataMatrix
 
@@ -50,6 +50,9 @@ TABLE_GRIDS = {
 }
 TABLE_M_VALUES = tuple(range(20, 201, 20))
 TABLE_N_VALUES = (5000, 10000)
+# Uniform ranges of the one-factor loadings of the core and the planted block.
+CORE_LOADING_RANGE = (0.32, 0.8)
+PLANTED_LOADING_RANGE = (0.79, 0.81)
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,6 @@ class ScenarioSpec:
     tau: float
     mode: str = "correlation-rescaled"
     epsilon_scale: float = 0.0
-    core_loading_range: tuple[float, float] = (0.32, 0.8)
-    planted_loading_range: tuple[float, float] = (0.79, 0.81)
 
     def __post_init__(self):
         if self.scenario not in ("single-vars", "one-block"):
@@ -121,7 +122,6 @@ class PopulationModel:
 
     covariance: np.ndarray
     planted: tuple[int, ...]
-    scenario: str
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,6 @@ class ErrorEstimate:
     iterations: int
     rate: float
     wilson_ci95: tuple[float, float]
-    iteration_seeds: tuple[int, ...] = field(repr=False, default=())
     numerical_failures: int = 0
 
 
@@ -158,21 +157,17 @@ def generate_population(spec: ScenarioSpec, seed) -> PopulationModel:
     core = m - plant
 
     cov = np.zeros((m, m))
-    cov[:core, :core] = _one_factor_block(core, spec.core_loading_range, rng)
+    cov[:core, :core] = _one_factor_block(core, CORE_LOADING_RANGE, rng)
     if spec.scenario == "single-vars":
         cov[core:, core:] = np.eye(plant)
     else:
-        cov[core:, core:] = _one_factor_block(plant, spec.planted_loading_range, rng)
+        cov[core:, core:] = _one_factor_block(plant, PLANTED_LOADING_RANGE, rng)
     if spec.epsilon_scale > 0.0:
         eps = spec.epsilon_scale * rng.uniform(-1.0, 1.0, size=(core, plant))
         cov[:core, core:] = eps
         cov[core:, :core] = eps.T
 
-    return PopulationModel(
-        covariance=cov,
-        planted=tuple(range(core, m)),
-        scenario=spec.scenario,
-    )
+    return PopulationModel(covariance=cov, planted=tuple(range(core, m)))
 
 
 def _cholesky(pop: PopulationModel) -> np.ndarray:
@@ -243,29 +238,28 @@ def _recovered(partition, planted: tuple[int, ...], scenario: str) -> bool:
 
 
 def _iteration_seeds(master_seed: int, s: int):
-    root = np.random.SeedSequence([master_seed, s])
-    pop_seed, sample_seed = root.spawn(2)
-    return int(root.generate_state(1)[0]), pop_seed, sample_seed
+    """Population and sample seeds of iteration s; ``(master_seed, s)`` replays it."""
+    return np.random.SeedSequence([master_seed, s]).spawn(2)
 
 
-def _run_iteration(spec: ScenarioSpec, master_seed: int, s: int) -> tuple[int, bool, bool]:
-    """One Monte Carlo draw: (recorded seed, success, numerical failure).
+def _run_iteration(spec: ScenarioSpec, master_seed: int, s: int) -> tuple[bool, bool]:
+    """One Monte Carlo draw: (success, numerical failure).
 
     Only detection runs; the one ``eigh`` of its matrix also validates it.
     """
-    recorded, pop_seed, sample_seed = _iteration_seeds(master_seed, s)
+    pop_seed, sample_seed = _iteration_seeds(master_seed, s)
     try:
         pop = generate_population(spec, pop_seed)
         cov = draw_covariance(pop, spec.n_sample, sample_seed)
         if spec.mode.startswith("correlation"):
-            matrix = DispersionMatrix(_unit_diagonal(cov), "correlation")
+            matrix = correlation_from_covariance(cov)
         else:
             matrix = DispersionMatrix(cov, "covariance")
         partition = _detect(matrix.eigensystem, spec.mode, spec.tau)
     except (PlaError, np.linalg.LinAlgError) as exc:
         log.warning("iteration %d failed numerically: %s", s, exc)
-        return recorded, False, True
-    return recorded, _recovered(partition, pop.planted, spec.scenario), False
+        return False, True
+    return _recovered(partition, pop.planted, spec.scenario), False
 
 
 def _wilson_ci95(failures: int, n: int) -> tuple[float, float]:
@@ -309,16 +303,14 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
     else:
         results = [_run_iteration(spec, mc.master_seed, s) for s in indices]
 
-    seeds = tuple(r[0] for r in results)
-    successes = sum(1 for r in results if r[1])
-    numerical = sum(1 for r in results if r[2])
+    successes = sum(1 for r in results if r[0])
+    numerical = sum(1 for r in results if r[1])
     failures = mc.iterations - successes
     return ErrorEstimate(
         failures=failures,
         iterations=mc.iterations,
         rate=failures / mc.iterations,
         wilson_ci95=_wilson_ci95(failures, mc.iterations),
-        iteration_seeds=seeds,
         numerical_failures=numerical,
     )
 

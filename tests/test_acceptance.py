@@ -15,11 +15,9 @@ from pla import (
     DataMatrix,
     DispersionMatrix,
     MonteCarloSpec,
-    PerturbationPair,
     PlaConfig,
     ScenarioSpec,
     detect_blocks,
-    eigendecompose,
     eigengap_bound,
     explained_variance_approx,
     explained_variance_exact,
@@ -104,7 +102,7 @@ def test_criterion_4_explained_variance_identities():
     for _ in range(100):
         sizes = [int(s) for s in rng.integers(1, 4, size=3)]
         cov = random_block_diagonal(rng, sizes)
-        es = eigendecompose(DispersionMatrix(cov, "covariance"))
+        es = DispersionMatrix(cov, "covariance").eigensystem
         part = detect_blocks(es.eigenvectors, tau=1e-8)
         assert part.residual == ()
         exact = [explained_variance_exact(b, es) for b in part.blocks]
@@ -177,7 +175,7 @@ def test_criterion_6_variance_sensitivity_signs():
         coupled += (noise + noise.T) / 2
         np.fill_diagonal(coupled, np.diag(cov))
         coupled[d, d] *= 1e6
-        es = eigendecompose(DispersionMatrix(coupled, "covariance"))
+        es = DispersionMatrix(coupled, "covariance").eigensystem
         j = int(np.argmax(np.abs(es.eigenvectors[d, :])))
         block = {d, d + 1}
         off_block = [i for i in range(6) if i not in block]
@@ -201,9 +199,9 @@ def test_criterion_7_eigengap_bound_implication():
         delta = (d + d.T) / 2
         tau = float(rng.uniform(0.05, 0.8))
         m = DispersionMatrix(base, "covariance")
-        es0 = eigendecompose(m)
-        diag = eigengap_bound(es0, PerturbationPair(m, delta), tau)
-        es1 = eigendecompose(DispersionMatrix(base + delta, "covariance"))
+        es0 = m.eigensystem
+        diag = eigengap_bound(m, delta, tau)
+        es1 = DispersionMatrix(base + delta, "covariance").eigensystem
         for j in range(5):
             if not diag.implies_below_tau[j]:
                 continue
@@ -226,7 +224,7 @@ def test_criterion_8_eigendecomposition_contract():
         size = int(rng.integers(3, 9))
         a = rng.standard_normal((size, size))
         m = DispersionMatrix(a @ a.T, "covariance")
-        es = eigendecompose(m)
+        es = m.eigensystem
         gram = es.eigenvectors.T @ es.eigenvectors
         worst["orth"] = max(worst["orth"], np.abs(gram - np.eye(size)).max())
         rebuilt = es.eigenvectors @ np.diag(es.eigenvalues) @ es.eigenvectors.T
@@ -236,7 +234,7 @@ def test_criterion_8_eigendecomposition_contract():
         worst["trace"] = max(
             worst["trace"], abs(es.eigenvalues.sum() - trace) / abs(trace)
         )
-        again = eigendecompose(m)
+        again = m.eigensystem
         deterministic &= (
             es.eigenvalues.tobytes() == again.eigenvalues.tobytes()
             and es.eigenvectors.tobytes() == again.eigenvectors.tobytes()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pla
+import pla.simulate
 from pla import DataMatrix, load_csv, write_csv
 from pla.cli import main
 
@@ -67,11 +68,25 @@ class TestAnalyze:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 3
 
+    def test_path_through_a_file_data_error(self, dataset, capsys):
+        assert main(["analyze", "--input", dataset + "/x"]) == 3
+        assert json.loads(capsys.readouterr().err)["code"] == 3
+
     def test_non_utf8_file_data_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"a,b\n1,2\n3,\xff\n")
         assert main(["analyze", "--input", str(path)]) == 3
         assert json.loads(capsys.readouterr().err)["code"] == 3
+
+    def test_overflowing_cells_numerical_error(self, tmp_path, capsys):
+        # np.cov overflows to inf; only the JSON error may reach stderr
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b\n1e200,2e200\n-3e200,1e200\n2e200,-1e200\n")
+        assert main(["analyze", "--input", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["code"] == 4
 
     def test_bad_mode_rejected(self, dataset, capsys):
         assert main(["analyze", "--input", dataset, "--mode", "pca"]) == 2
@@ -101,15 +116,23 @@ class TestAnalyze:
          "--N", "200", "--tau", "0.4", "--S", "1", "--epsilon-scale", "-0.1"],
         ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
          "--N", "200", "--tau", "0.4", "--S", "1", "--epsilon-scale", "nan"],
+        *(["bound", "--matrix", "M", "--delta", "M", "--tau", tau]
+          for tau in ("nan", "inf", "1.5", "0", "-1")),
+        *(["sensitivity", "--matrix", "M", "--variable", "0", "--increments", grid]
+          for grid in ("1,nan", "1,inf")),
     ],
     ids=["analyze-tau", "analyze-ev-cutoff", "analyze-delimiter", "discard-tau",
          "simulate-S", "simulate-tau", "reproduce-table-S", "reproduce-table-tau",
          "simulate-seed", "reproduce-table-seed", "simulate-epsilon-scale",
-         "simulate-epsilon-scale-nan"],
+         "simulate-epsilon-scale-nan", "bound-tau-nan", "bound-tau-inf",
+         "bound-tau-1.5", "bound-tau-0", "bound-tau-negative",
+         "sensitivity-increment-nan", "sensitivity-increment-inf"],
 )
-def test_out_of_range_option_is_usage_error(argv, dataset, capsys):
+def test_out_of_range_option_is_usage_error(argv, dataset, tmp_path, capsys):
     if argv[0] in ("analyze", "discard"):
         argv = [argv[0], "--input", dataset, *argv[1:]]
+    matrix = write_matrix(tmp_path, "m.csv", np.diag([4.0, 1.0]))
+    argv = [matrix if a == "M" else a for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -300,6 +323,21 @@ class TestReproduceTable:
         assert meta["rows"] == 2
         assert meta["master_seed"] == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--out", "--manifest"])
+    def test_bad_output_path_fails_before_any_cell(self, flag, monkeypatch, capsys):
+        def spy(*args, **kwargs):
+            raise AssertionError("a grid cell ran before the output paths opened")
+
+        monkeypatch.setattr(pla.simulate, "type_one_error", spy)
+        code = main(
+            ["reproduce-table", "--table", "I", "--M", "8", "--k", "1",
+             "--N", "200", "--tau", "0.4", "--S", "1", flag, "/nonexistent/x"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["code"] == 3
 
     def test_stdout_default(self, capsys):
         code = main(

@@ -11,7 +11,6 @@ from pla import (
     PlaConfig,
     detect_blocks,
     discard,
-    eigendecompose,
     explained_variance_approx,
     explained_variance_exact,
     rescale_eigenvectors,
@@ -42,12 +41,12 @@ def random_block_diagonal(rng, sizes, spread=1.0):
 
 class TestRescale:
     def test_equal_pair(self):
-        es = eigendecompose(DispersionMatrix(BLOCK_3X3, "covariance"))
+        es = DispersionMatrix(BLOCK_3X3, "covariance").eigensystem
         loadings = rescale_eigenvectors(es)
         np.testing.assert_allclose(loadings[:, 1], [1.0, 1.0, 0.0], atol=1e-12)
 
     def test_axis_vector_unchanged(self):
-        es = eigendecompose(DispersionMatrix(np.diag([3.0, 2.0, 1.0]), "covariance"))
+        es = DispersionMatrix(np.diag([3.0, 2.0, 1.0]), "covariance").eigensystem
         np.testing.assert_array_equal(rescale_eigenvectors(es), np.eye(3))
 
     def test_scalar_division(self):
@@ -61,14 +60,14 @@ class TestRescale:
     def test_max_abs_exactly_one(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((6, 6))
-        es = eigendecompose(DispersionMatrix(a @ a.T, "covariance"))
+        es = DispersionMatrix(a @ a.T, "covariance").eigensystem
         loadings = rescale_eigenvectors(es)
         assert np.all(np.abs(loadings).max(axis=0) == 1.0)
 
 
 class TestDetectBlocks:
     def test_block_matrix(self):
-        es = eigendecompose(DispersionMatrix(BLOCK_3X3, "covariance"))
+        es = DispersionMatrix(BLOCK_3X3, "covariance").eigensystem
         part = detect_blocks(es.eigenvectors, tau=0.3)
         assert [(b.variables, b.eigen_indices) for b in part.blocks] == [
             ((0, 1), (1, 2)),
@@ -105,7 +104,7 @@ class TestDetectBlocks:
         rng = np.random.default_rng(4)
         for _ in range(25):
             a = rng.standard_normal((7, 7))
-            es = eigendecompose(DispersionMatrix(a @ a.T, "covariance"))
+            es = DispersionMatrix(a @ a.T, "covariance").eigensystem
             part = detect_blocks(rescale_eigenvectors(es), tau=float(rng.uniform(0.1, 0.9)))
             seen = [v for b in part.blocks for v in b.variables] + list(part.residual)
             assert sorted(seen) == list(range(7))
@@ -115,7 +114,7 @@ class TestDetectBlocks:
         for _ in range(10):
             sizes = [2, 3, 1]
             cov = random_block_diagonal(rng, sizes)
-            es = eigendecompose(DispersionMatrix(cov, "covariance"))
+            es = DispersionMatrix(cov, "covariance").eigensystem
             nonzero = np.abs(es.eigenvectors)[np.abs(es.eigenvectors) > 1e-12]
             tau = 0.5 * nonzero.min()
             if not 0 < tau < 1:
@@ -127,13 +126,13 @@ class TestDetectBlocks:
 
 class TestExplainedVariance:
     def test_diagonal_case(self):
-        es = eigendecompose(DispersionMatrix(np.diag([3.0, 2.0, 1.0]), "covariance"))
+        es = DispersionMatrix(np.diag([3.0, 2.0, 1.0]), "covariance").eigensystem
         block = Block(variables=(0,), eigen_indices=(0,))
         assert explained_variance_exact(block, es) == pytest.approx(0.5, abs=1e-12)
         assert explained_variance_approx(block, es) == pytest.approx(0.5, abs=1e-12)
 
     def test_block_matrix_shares(self):
-        es = eigendecompose(DispersionMatrix(BLOCK_3X3, "covariance"))
+        es = DispersionMatrix(BLOCK_3X3, "covariance").eigensystem
         single = Block(variables=(2,), eigen_indices=(0,))
         pair = Block(variables=(0, 1), eigen_indices=(1, 2))
         assert explained_variance_exact(single, es) == pytest.approx(5 / 9, abs=1e-12)
@@ -143,7 +142,7 @@ class TestExplainedVariance:
     def test_approx_matches_exact_on_block_diagonal(self):
         rng = np.random.default_rng(8)
         cov = random_block_diagonal(rng, [3, 2])
-        es = eigendecompose(DispersionMatrix(cov, "covariance"))
+        es = DispersionMatrix(cov, "covariance").eigensystem
         part = detect_blocks(es.eigenvectors, tau=1e-6)
         for block in part.blocks:
             exact = explained_variance_exact(block, es)
@@ -156,7 +155,7 @@ class TestExplainedVariance:
         noise = rng.uniform(-0.01, 0.01, size=cov.shape)
         cov = cov + (noise + noise.T) / 2
         np.fill_diagonal(cov, np.diag(cov) + 0.05)
-        es = eigendecompose(DispersionMatrix(cov, "covariance"))
+        es = DispersionMatrix(cov, "covariance").eigensystem
         part = detect_blocks(es.eigenvectors, tau=0.05)
         assert len(part.blocks) == 2
         for block in part.blocks:
@@ -168,7 +167,7 @@ class TestExplainedVariance:
         rng = np.random.default_rng(10)
         for _ in range(20):
             cov = random_block_diagonal(rng, [2, 2, 3])
-            es = eigendecompose(DispersionMatrix(cov, "covariance"))
+            es = DispersionMatrix(cov, "covariance").eigensystem
             part = detect_blocks(es.eigenvectors, tau=1e-8)
             assert part.residual == ()
             exact = sum(explained_variance_exact(b, es) for b in part.blocks)

@@ -8,7 +8,6 @@ from pla import (
     NumericalError,
     SymmetryError,
     correlation_from_covariance,
-    eigendecompose,
     sample_correlation,
     sample_covariance,
 )
@@ -60,21 +59,20 @@ class TestSampleCorrelation:
 
     def test_population_normalization(self):
         # oracle: divide by sqrt(sigma_ii * sigma_jj) by hand
-        cov = DispersionMatrix(BLOCK_3X3, "covariance")
-        corr = correlation_from_covariance(cov)
+        corr = correlation_from_covariance(BLOCK_3X3)
         expected = np.array([[1.0, 0.25, 0.0], [0.25, 1.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(corr.entries, expected, atol=1e-15)
 
 
 class TestEigendecompose:
     def test_diagonal_matrix(self):
-        es = eigendecompose(DispersionMatrix(np.diag([3.0, 2.0, 1.0]), "covariance"))
+        es = DispersionMatrix(np.diag([3.0, 2.0, 1.0]), "covariance").eigensystem
         np.testing.assert_allclose(es.eigenvalues, [3.0, 2.0, 1.0])
         np.testing.assert_allclose(es.eigenvectors, np.eye(3), atol=1e-15)
 
     def test_block_matrix_analytic(self):
         # oracle: 2x2 analytic block eigenvalues 2 +/- 0.5, isolated 5
-        es = eigendecompose(DispersionMatrix(BLOCK_3X3, "covariance"))
+        es = DispersionMatrix(BLOCK_3X3, "covariance").eigensystem
         np.testing.assert_allclose(es.eigenvalues, [5.0, 2.5, 1.5], atol=1e-12)
         s = 1 / np.sqrt(2)
         np.testing.assert_allclose(es.eigenvectors[:, 0], [0, 0, 1], atol=1e-12)
@@ -84,15 +82,13 @@ class TestEigendecompose:
     def test_equicorrelated_pair_eigenvalues(self):
         # oracle: 1 +/- r for the correlated 2x2 sub-block
         corr = np.array([[1.0, 0.25, 0.0], [0.25, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        es = eigendecompose(DispersionMatrix(corr, "correlation"))
+        es = DispersionMatrix(corr, "correlation").eigensystem
         np.testing.assert_allclose(es.eigenvalues, [1.25, 1.0, 0.75], atol=1e-12)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            es = eigendecompose(
-                DispersionMatrix(random_psd(rng, 6), "covariance")
-            )
+            es = DispersionMatrix(random_psd(rng, 6), "covariance").eigensystem
             peaks = np.argmax(np.abs(es.eigenvectors), axis=0)
             assert np.all(es.eigenvectors[peaks, np.arange(6)] > 0)
 
@@ -109,7 +105,7 @@ class TestEigendecompose:
     def test_correlation_trace_is_m(self):
         rng = np.random.default_rng(23)
         data = DataMatrix(rng.standard_normal((60, 5)))
-        es = eigendecompose(sample_correlation(data))
+        es = sample_correlation(data).eigensystem
         assert abs(es.eigenvalues.sum() - 5.0) < 1e-9
 
 
@@ -118,7 +114,7 @@ class TestEigenSystemContract:
     def test_invariants(self, seed):
         rng = np.random.default_rng(seed)
         m = DispersionMatrix(random_psd(rng, 7, scale=3.0), "covariance")
-        es = eigendecompose(m)
+        es = m.eigensystem
         # descending order
         assert np.all(np.diff(es.eigenvalues) <= 0)
         # orthonormal columns
@@ -138,8 +134,8 @@ class TestEigenSystemContract:
     def test_deterministic_bytes(self):
         rng = np.random.default_rng(77)
         m = DispersionMatrix(random_psd(rng, 8), "covariance")
-        a = eigendecompose(m)
-        b = eigendecompose(m)
+        a = m.eigensystem
+        b = DispersionMatrix(m.entries, "covariance").eigensystem
         assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
         assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
 
@@ -147,5 +143,5 @@ class TestEigenSystemContract:
         # rank-deficient: direct product of a thin factor
         a = np.array([[1.0, 2.0], [2.0, 4.0], [0.5, 1.0]])
         m = DispersionMatrix(a @ a.T, "covariance")
-        es = eigendecompose(m)
+        es = m.eigensystem
         assert np.all(es.eigenvalues >= 0.0)

@@ -4,9 +4,8 @@ import pytest
 from pla import (
     BoundDiagnostic,
     DispersionMatrix,
-    PerturbationPair,
+    NumericalError,
     SymmetryError,
-    eigendecompose,
     eigengap_bound,
     variance_sensitivity,
 )
@@ -14,8 +13,8 @@ from pla import (
 
 def measured_sup_change(base, delta):
     """Oracle: re-decompose and compare matched eigenvectors directly."""
-    es0 = eigendecompose(DispersionMatrix(base, "covariance"))
-    es1 = eigendecompose(DispersionMatrix(base + delta, "covariance"))
+    es0 = DispersionMatrix(base, "covariance").eigensystem
+    es1 = DispersionMatrix(base + delta, "covariance").eigensystem
     out = []
     for j in range(es0.size):
         overlaps = es1.eigenvectors.T @ es0.eigenvectors[:, j]
@@ -26,33 +25,29 @@ def measured_sup_change(base, delta):
 
 
 class TestPerturbationPair:
+    """The (base, delta) inputs of ``eigengap_bound``."""
+
     def test_frobenius_norm(self):
         base = DispersionMatrix(np.diag([4.0, 1.0]), "covariance")
-        pair = PerturbationPair(base, np.array([[0.0, 0.1], [0.1, 0.0]]))
-        assert pair.frobenius_norm == pytest.approx(np.sqrt(0.02), abs=1e-15)
-
-    def test_perturbed_sum(self):
-        base = DispersionMatrix(np.diag([4.0, 1.0]), "covariance")
-        pair = PerturbationPair(base, 0.1 * np.eye(2))
-        np.testing.assert_allclose(pair.perturbed(), np.diag([4.1, 1.1]))
+        diag = eigengap_bound(base, np.array([[0.0, 0.1], [0.1, 0.0]]), tau=0.2)
+        assert diag.frobenius_norm == pytest.approx(np.sqrt(0.02), abs=1e-15)
 
     def test_rejects_asymmetric_delta(self):
         base = DispersionMatrix(np.eye(2), "covariance")
         with pytest.raises(SymmetryError):
-            PerturbationPair(base, np.array([[0.0, 0.1], [0.0, 0.0]]))
+            eigengap_bound(base, np.array([[0.0, 0.1], [0.0, 0.0]]), tau=0.2)
 
     def test_rejects_shape_mismatch(self):
         base = DispersionMatrix(np.eye(2), "covariance")
         with pytest.raises(SymmetryError):
-            PerturbationPair(base, np.zeros((3, 3)))
+            eigengap_bound(base, np.zeros((3, 3)), tau=0.2)
 
 
 class TestEigengapBound:
     def test_two_by_two_example(self):
         # gap between eigenvalues 4 and 1 is 3; bound = 2^1.5 * ||d||_F / 3
         base = DispersionMatrix(np.diag([4.0, 1.0]), "covariance")
-        pair = PerturbationPair(base, np.array([[0.0, 0.1], [0.1, 0.0]]))
-        diag = eigengap_bound(eigendecompose(base), pair, tau=0.2)
+        diag = eigengap_bound(base, np.array([[0.0, 0.1], [0.1, 0.0]]), tau=0.2)
         np.testing.assert_allclose(diag.eigengaps, [3.0, 3.0])
         expected = 2.0 ** 1.5 * np.sqrt(0.02) / 3.0
         np.testing.assert_allclose(diag.bounds, [expected, expected], atol=1e-15)
@@ -61,27 +56,33 @@ class TestEigengapBound:
     def test_bound_dominates_measured_change(self):
         base = np.diag([4.0, 1.0])
         delta = np.array([[0.0, 0.1], [0.1, 0.0]])
-        pair = PerturbationPair(DispersionMatrix(base, "covariance"), delta)
-        diag = eigengap_bound(
-            eigendecompose(DispersionMatrix(base, "covariance")), pair, tau=0.2
-        )
+        diag = eigengap_bound(DispersionMatrix(base, "covariance"), delta, tau=0.2)
         measured = measured_sup_change(base, delta)
         assert np.all(measured <= diag.bounds + 1e-12)
         assert measured.max() < 0.05
 
     def test_zero_delta_zero_bounds(self):
         base = DispersionMatrix(np.diag([3.0, 1.0]), "covariance")
-        pair = PerturbationPair(base, np.zeros((2, 2)))
-        diag = eigengap_bound(eigendecompose(base), pair, tau=0.5)
+        diag = eigengap_bound(base, np.zeros((2, 2)), tau=0.5)
         np.testing.assert_array_equal(diag.bounds, [0.0, 0.0])
         assert diag.implies_below_tau.all()
 
     def test_degenerate_spectrum_infinite_bound(self):
         base = DispersionMatrix(np.eye(2), "covariance")
-        pair = PerturbationPair(base, np.array([[0.0, 0.01], [0.01, 0.0]]))
-        diag = eigengap_bound(eigendecompose(base), pair, tau=0.5)
+        diag = eigengap_bound(base, np.array([[0.0, 0.01], [0.01, 0.0]]), tau=0.5)
         assert np.all(np.isinf(diag.bounds))
         assert not diag.implies_below_tau.any()
+
+    def test_tied_eigenvalues_are_never_certified(self):
+        # 0.1 is a triple eigenvalue; a tie run of the canonical order puts
+        # 0.1 + 3.6e-15 between its copies, which must not give them a gap
+        factor = np.zeros((4, 4))
+        factor[2, 0] = 5.96e-8
+        base = DispersionMatrix(factor @ factor.T + 0.1 * np.eye(4), "covariance")
+        diag = eigengap_bound(base, np.full((4, 4), 1e-20), tau=0.25)
+        top = int(np.argmax(base.eigensystem.eigenvalues))  # 0.1 + 3.6e-15
+        assert np.flatnonzero(diag.eigengaps).tolist() == [top]
+        assert np.flatnonzero(diag.implies_below_tau).tolist() == [top]
 
     def test_implication_never_violated(self):
         # whenever the bound certifies, the measured sup-norm change stays
@@ -95,8 +96,7 @@ class TestEigengapBound:
             d = rng.standard_normal((5, 5)) * rng.uniform(1e-4, 0.05)
             delta = (d + d.T) / 2
             tau = float(rng.uniform(0.05, 0.8))
-            m = DispersionMatrix(base, "covariance")
-            diag = eigengap_bound(eigendecompose(m), PerturbationPair(m, delta), tau)
+            diag = eigengap_bound(DispersionMatrix(base, "covariance"), delta, tau)
             measured = measured_sup_change(base, delta)
             for j in range(5):
                 if diag.implies_below_tau[j]:
@@ -155,9 +155,22 @@ class TestVarianceSensitivity:
             variance_sensitivity(m, 0, [-0.1, 0.2])
         with pytest.raises(IndexError):
             variance_sensitivity(m, 5, [0.1])
+        for grid in ([0.1, np.nan], [0.1, np.inf], [np.nan]):
+            with pytest.raises(ValueError, match="increments must be finite"):
+                variance_sensitivity(m, 0, grid)
         corr = DispersionMatrix(np.eye(3), "correlation")
         with pytest.raises(ValueError):
             variance_sensitivity(corr, 0, [0.1])
+
+    def test_overflow_is_an_error_or_an_infinite_quotient(self):
+        # no RuntimeWarning: an infinite increment fails validation, and a
+        # tiny step's difference quotient may be infinite
+        huge = DispersionMatrix(np.diag([1e308, 1.0]), "covariance")
+        with pytest.raises(NumericalError, match="non-finite"):
+            variance_sensitivity(huge, 0, [1e308])
+        tiny = np.array([[1e-320, 1e-310], [1e-310, 1e-310]])
+        prof = variance_sensitivity(DispersionMatrix(tiny, "covariance"), 1, [1e-320])
+        assert np.isinf(prof.diffs[0]).all()
 
     def test_sign_contract_randomized(self):
         # pair blocks, probing the higher-variance member of its block: the

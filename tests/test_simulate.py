@@ -153,7 +153,7 @@ class TestDrawCovariance:
             draw_covariance(pop, 1, seed=0)
 
     def test_indefinite_population_is_factorization_error(self):
-        pop = PopulationModel(np.diag([1.0, -1.0]), (1,), "single-vars")
+        pop = PopulationModel(np.diag([1.0, -1.0]), (1,))
         with pytest.raises(FactorizationError):
             draw_covariance(pop, 10, seed=0)
 
@@ -172,7 +172,7 @@ class TestDrawCovariance:
         config = PlaConfig(tau=s.tau, mode=s.mode, ev_cutoff=0.0)
         row_failures = 0
         for i in range(iterations):
-            _, pop_seed, sample_seed = _iteration_seeds(1, i)
+            pop_seed, sample_seed = _iteration_seeds(1, i)
             pop = generate_population(s, pop_seed)
             report = run_pla(draw_sample(pop, s.n_sample, sample_seed), config)
             row_failures += not _recovered(report.partition, pop.planted, s.scenario)
@@ -244,8 +244,7 @@ class TestTypeOneError:
         mc = MonteCarloSpec(iterations=20, master_seed=12)
         a = type_one_error(spec(n_sample=1000), mc)
         b = type_one_error(spec(n_sample=1000), mc)
-        assert a.failures == b.failures
-        assert a.iteration_seeds == b.iteration_seeds
+        assert a == b
 
     def test_workers_match_sequential(self):
         s = spec(n_sample=500)
@@ -253,8 +252,7 @@ class TestTypeOneError:
         par = type_one_error(
             s, MonteCarloSpec(iterations=16, master_seed=5, workers=2)
         )
-        assert seq.failures == par.failures
-        assert seq.iteration_seeds == par.iteration_seeds
+        assert seq == par
 
     def test_iterations_draw_no_rows(self, monkeypatch):
         # Each iteration: one drawn covariance, no np.cov, and one eigh, of
