@@ -63,6 +63,10 @@ def _report_error(code: int, message) -> int:
     return code
 
 
+def _warn(message: str) -> None:
+    print(json.dumps({"warning": message}), file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse whose usage errors reach ``main`` as ``ConfigError`` (exit 2)."""
 
@@ -129,9 +133,15 @@ def _workers() -> int:
         workers = 0
     if workers >= 1:
         return workers
-    message = f"PLA_THREADS={raw!r} is not a positive integer; using 1 worker"
-    print(json.dumps({"warning": message}), file=sys.stderr)
+    _warn(f"PLA_THREADS={raw!r} is not a positive integer; using 1 worker")
     return 1
+
+
+def _warn_numerical(cell: dict) -> None:
+    if cell["numerical_failures"]:
+        _warn(f"M={cell['M']} k_or_kappa={cell['k_or_kappa']} N={cell['N']} "
+              f"tau={cell['tau']}: {cell['numerical_failures']} of {cell['S']} "
+              "iterations failed numerically and count as detection failures")
 
 
 def _pla_flags(sub) -> None:
@@ -281,6 +291,7 @@ def _cmd_simulate(args) -> int:
         "ci_low": est.wilson_ci95[0], "ci_high": est.wilson_ci95[1],
         "numerical_failures": est.numerical_failures,
     }
+    _warn_numerical(payload)
     _emit(payload, args.out, as_text=args.format == "text")
     return EXIT_OK
 
@@ -288,6 +299,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_reproduce_table(args) -> int:
     mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=_workers())
     header = ["M", "k_or_kappa", "N", "tau", "rate", "ci_low", "ci_high", "S"]
+    # Validates every cell and runs none, so an invalid grid touches no file.
+    rows = reproduce_table(args.table, mc, m_values=args.M, count_values=args.count,
+                           n_values=args.N, taus=args.tau)
     with contextlib.ExitStack() as stack:
         # Open both paths before the grid runs, so a bad one fails at once.
         out, manifest = (
@@ -296,16 +310,20 @@ def _cmd_reproduce_table(args) -> int:
             for path in (args.out, args.manifest)
         )
         start = time.time()
-        rows = reproduce_table(args.table, mc, m_values=args.M, count_values=args.count,
-                               n_values=args.N, taus=args.tau)
-        writer = csv.DictWriter(out or sys.stdout, fieldnames=header)
+        sink = out or sys.stdout
+        writer = csv.DictWriter(sink, fieldnames=header, extrasaction="ignore")
         writer.writeheader()
-        writer.writerows(rows)
+        written = 0
+        for written, row in enumerate(rows, 1):
+            _warn_numerical(row)
+            # One row per finished cell, so a stopped grid keeps what it ran.
+            writer.writerow(row)
+            sink.flush()
         if manifest:
             json.dump({
                 "table": args.table, "S": args.S, "master_seed": args.seed,
                 "M": args.M, "k_or_kappa": args.count, "N": args.N, "tau": args.tau,
-                "rows": len(rows), "wall_time_s": time.time() - start,
+                "rows": written, "wall_time_s": time.time() - start,
             }, manifest, indent=2, sort_keys=True)
             manifest.write("\n")
     return EXIT_OK

@@ -161,40 +161,29 @@ def detect_blocks(loadings: np.ndarray, tau: float) -> BlockPartition:
     m = loadings.shape[0]
     adjacency = np.abs(loadings) > tau  # [variable, eigenvector]
 
-    blocks: list[Block] = []
-    residual: list[int] = []
-    seen_vars = np.zeros(m, dtype=bool)
-    seen_eigs = np.zeros(m, dtype=bool)
+    # Label propagation: a label is a variable index in the same component,
+    # never above the variable's own (m for an eigenvector with no edge); at
+    # the fixed point a component carries the index of its first variable.
+    labels, new = None, np.arange(m)
+    while not np.array_equal(new, labels):
+        labels = new
+        eig_labels = np.where(adjacency, labels[:, None], m).min(axis=0, initial=m)
+        new = np.where(adjacency, eig_labels, labels[:, None]).min(axis=1, initial=m)
+        # Hook (the variable an old label names takes the new label too) and
+        # jump pointers, so that a long path needs a few rounds, not one each.
+        np.minimum.at(new, labels, new.copy())
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
 
-    for start in range(m):
-        if seen_vars[start]:
-            continue
-        comp_vars, comp_eigs = [], []
-        stack = [("v", start)]
-        seen_vars[start] = True
-        while stack:
-            side, idx = stack.pop()
-            if side == "v":
-                comp_vars.append(idx)
-                for j in np.flatnonzero(adjacency[idx]):
-                    if not seen_eigs[j]:
-                        seen_eigs[j] = True
-                        stack.append(("e", int(j)))
-            else:
-                comp_eigs.append(idx)
-                for i in np.flatnonzero(adjacency[:, idx]):
-                    if not seen_vars[i]:
-                        seen_vars[i] = True
-                        stack.append(("v", int(i)))
-        if comp_eigs and len(comp_vars) == len(comp_eigs):
-            blocks.append(
-                Block(tuple(sorted(comp_vars)), tuple(sorted(comp_eigs)))
-            )
-        else:
-            residual.extend(comp_vars)
-
-    blocks.sort(key=lambda b: b.variables[0])
-    return BlockPartition(tuple(blocks), tuple(sorted(residual)))
+    n_vars = np.bincount(labels, minlength=m)
+    n_eigs = np.bincount(eig_labels, minlength=m + 1)[:m]
+    balanced = (n_vars == n_eigs) & (n_eigs > 0)
+    blocks = tuple(
+        Block(tuple(np.flatnonzero(labels == r).tolist()),
+              tuple(np.flatnonzero(eig_labels == r).tolist()))
+        for r in np.flatnonzero(balanced)
+    )
+    return BlockPartition(blocks, tuple(np.flatnonzero(~balanced[labels]).tolist()))
 
 
 def _total_variance(cov_es: EigenSystem) -> float:

@@ -18,7 +18,6 @@ __all__ = [
     "DispersionMatrix",
     "EigenSystem",
     "sample_covariance",
-    "sample_correlation",
     "correlation_from_covariance",
 ]
 
@@ -100,20 +99,11 @@ class DispersionMatrix:
 
 def sample_covariance(data: DataMatrix) -> DispersionMatrix:
     """Unbiased (N-1) sample covariance of the data columns."""
-    if data.n_rows < 2:
-        raise DimensionError("sample covariance needs at least 2 observations")
     # Overflow leaves non-finite entries, which DispersionMatrix rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         cov = np.cov(data.values, rowvar=False, ddof=1)
         cov = (cov + cov.T) / 2.0
     return DispersionMatrix(cov, "covariance")
-
-
-def sample_correlation(data: DataMatrix) -> DispersionMatrix:
-    """Sample correlation of the data columns; constant columns are an error."""
-    return correlation_from_covariance(
-        sample_covariance(data).entries, data.variable_names
-    )
 
 
 def correlation_from_covariance(

@@ -1,4 +1,4 @@
-"""Loading, validation, and standardization of rectangular numeric datasets."""
+"""Loading and validation of rectangular numeric datasets."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateColumnError, DimensionError, ParseError
+from .errors import ConfigError, DimensionError, ParseError
 
-__all__ = ["DataMatrix", "load_csv", "write_csv", "standardize_columns"]
+__all__ = ["DataMatrix", "load_csv", "write_csv"]
 
 
 @dataclass(frozen=True)
@@ -163,14 +163,3 @@ def write_csv(data: DataMatrix, path, delimiter: str = ",") -> None:
         for row in data.values:
             writer.writerow([repr(float(v)) for v in row])
 
-
-def standardize_columns(data: DataMatrix) -> DataMatrix:
-    """Center each column to mean 0 and scale to unit sample variance (N-1)."""
-    sd = data.values.std(axis=0, ddof=1)
-    zero = np.flatnonzero(sd == 0.0)
-    if zero.size:
-        raise DegenerateColumnError(
-            f"constant column(s): {', '.join(data.variable_names[i] for i in zero)}"
-        )
-    centered = data.values - data.values.mean(axis=0)
-    return DataMatrix(centered / sd, data.variable_names)

@@ -9,16 +9,15 @@ The analysis sees a simulated dataset only through its sample covariance S,
 and for N Gaussian rows (N-1)*S is Wishart W(Sigma, N-1).  Each iteration
 therefore draws S directly (``draw_covariance``, Bartlett decomposition) in
 O(M^3) time and O(M^2) memory, whatever N is, and runs only detection on
-it, with one eigensolve.  ``draw_sample`` draws the rows themselves and
-serves as the data-level reference.
+it, with one eigensolve.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ import numpy as np
 from .core import MODES, _detect
 from .dispersion import DispersionMatrix, correlation_from_covariance
 from .errors import ConfigError, DimensionError, FactorizationError, PlaError
-from .ingest import DataMatrix
 
 __all__ = [
     "ScenarioSpec",
@@ -34,14 +32,11 @@ __all__ = [
     "PopulationModel",
     "ErrorEstimate",
     "generate_population",
-    "draw_sample",
     "draw_covariance",
     "type_one_error",
     "reproduce_table",
     "TABLE_GRIDS",
 ]
-
-log = logging.getLogger(__name__)
 
 # Reference-table grids: (scenario, plant sizes, thresholds).
 TABLE_GRIDS = {
@@ -170,27 +165,6 @@ def generate_population(spec: ScenarioSpec, seed) -> PopulationModel:
     return PopulationModel(covariance=cov, planted=tuple(range(core, m)))
 
 
-def _cholesky(pop: PopulationModel) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(pop.covariance)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"population covariance is not positive definite: {exc}"
-        ) from exc
-
-
-def draw_sample(pop: PopulationModel, n: int, seed) -> DataMatrix:
-    """Draw n i.i.d. Gaussian rows via Cholesky; deterministic under seed.
-
-    The Monte Carlo draws ``draw_covariance`` instead; the rows are the
-    data-level reference that its distribution is checked against.
-    """
-    chol = _cholesky(pop)
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((n, pop.covariance.shape[0])) @ chol.T
-    return DataMatrix(values)
-
-
 def draw_covariance(pop: PopulationModel, n: int, seed) -> np.ndarray:
     """Sample covariance of n Gaussian rows, drawn without drawing the rows.
 
@@ -199,13 +173,18 @@ def draw_covariance(pop: PopulationModel, n: int, seed) -> np.ndarray:
     M x min(df, M), lower trapezoidal, with sqrt(chi2(df - i)) on the
     diagonal and N(0, 1) entries below it.  When df < M this is the rank-df
     matrix that n rows would give.  Costs O(M^3), not O(n M^2); same
-    distribution as the entries of ``sample_covariance(draw_sample(...))``,
-    but a different random stream, and returned unvalidated as an array: a
+    distribution as the sample covariance of n rows drawn as ``Z L^T``, but
+    a different random stream, and returned unvalidated as an array: a
     Gram matrix is PSD by construction.
     """
     if n < 2:
         raise DimensionError("sample covariance needs at least 2 observations")
-    chol = _cholesky(pop)
+    try:
+        chol = np.linalg.cholesky(pop.covariance)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(
+            f"population covariance is not positive definite: {exc}"
+        ) from exc
     m = chol.shape[0]
     df = n - 1
     k = min(df, m)
@@ -256,8 +235,7 @@ def _run_iteration(spec: ScenarioSpec, master_seed: int, s: int) -> tuple[bool, 
         else:
             matrix = DispersionMatrix(cov, "covariance")
         partition = _detect(matrix.eigensystem, spec.mode, spec.tau)
-    except (PlaError, np.linalg.LinAlgError) as exc:
-        log.warning("iteration %d failed numerically: %s", s, exc)
+    except (PlaError, np.linalg.LinAlgError):
         return False, True
     return _recovered(partition, pop.planted, spec.scenario), False
 
@@ -322,12 +300,13 @@ def reproduce_table(
     count_values=None,
     n_values=None,
     taus=None,
-) -> list[dict]:
+) -> Iterator[dict]:
     """Estimate Type I error over a grid matching the reference table layout.
 
-    Returns one row dict per (M, k-or-kappa, N, tau) cell with keys
-    M, k_or_kappa, N, tau, rate, ci_low, ci_high, S.  Passing an empty
-    sequence for any filter yields no rows.
+    Validates every (M, k-or-kappa, N, tau) cell, then returns an iterator
+    that runs the cells in order and yields each one's row as it finishes:
+    M, k_or_kappa, N, tau, rate, ci_low, ci_high, S, numerical_failures.
+    Passing an empty sequence for any filter yields no rows.
     """
     if table not in TABLE_GRIDS:
         raise ValueError(f"unknown table {table!r}; expected 'I' or 'II'")
@@ -337,16 +316,15 @@ def reproduce_table(
     n_values = TABLE_N_VALUES if n_values is None else tuple(n_values)
     taus = default_taus if taus is None else tuple(taus)
 
-    # Every cell is validated before the first one runs.
     specs = [
         ScenarioSpec(m_total=m, scenario=scenario, count=k, n_sample=n, tau=tau)
         for m, k, n, tau in itertools.product(m_values, count_values, n_values, taus)
     ]
-    rows = []
-    for spec in specs:
-        est = type_one_error(spec, mc)
-        rows.append(
-            {
+
+    def rows():
+        for spec in specs:
+            est = type_one_error(spec, mc)
+            yield {
                 "M": spec.m_total,
                 "k_or_kappa": spec.count,
                 "N": spec.n_sample,
@@ -355,6 +333,7 @@ def reproduce_table(
                 "ci_low": est.wilson_ci95[0],
                 "ci_high": est.wilson_ci95[1],
                 "S": mc.iterations,
+                "numerical_failures": est.numerical_failures,
             }
-        )
-    return rows
+
+    return rows()

@@ -8,7 +8,7 @@ import pytest
 
 import pla
 import pla.simulate
-from pla import DataMatrix, load_csv, write_csv
+from pla import DataMatrix, ErrorEstimate, load_csv, write_csv
 from pla.cli import main
 
 BLOCK_3X3 = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 5.0]])
@@ -297,6 +297,19 @@ class TestSimulate:
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
 
+    def test_numerical_failures_warn_once(self, capsys):
+        # At this coupling every population is indefinite.
+        code = main(
+            ["simulate", "--scenario", "single-vars", "--M", "6", "--k", "1",
+             "--N", "50", "--tau", "0.6", "--S", "3", "--epsilon-scale", "5"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["numerical_failures"] == 3
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert "3 of 3 iterations failed numerically" in json.loads(err[0])["warning"]
+
     def test_invalid_geometry_data_error(self, capsys):
         code = main(
             ["simulate", "--scenario", "single-vars", "--M", "3", "--k", "2",
@@ -338,6 +351,48 @@ class TestReproduceTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["code"] == 3
+
+    @pytest.mark.parametrize("flag", ["--out", "--manifest"])
+    def test_invalid_grid_leaves_existing_file(self, flag, tmp_path, capsys):
+        path = tmp_path / "existing"
+        path.write_bytes(b"precious\n")
+        code = main(
+            ["reproduce-table", "--table", "I", "--M", "3", "--k", "2",
+             "--N", "100", "--S", "5", flag, str(path)]
+        )
+        assert code == 3
+        assert path.read_bytes() == b"precious\n"
+        assert json.loads(capsys.readouterr().err)["code"] == 3
+
+    def test_rows_are_written_as_cells_finish(self, monkeypatch, tmp_path, capsys):
+        class Interrupted(Exception):
+            pass
+
+        finished = []
+
+        def one_cell(spec, mc):
+            if finished:
+                raise Interrupted
+            finished.append(spec)
+            return ErrorEstimate(1, 1, 1.0, (0.2, 1.0), numerical_failures=1)
+
+        monkeypatch.setattr(pla.simulate, "type_one_error", one_cell)
+        out = tmp_path / "rows.csv"
+        with pytest.raises(Interrupted):
+            main(
+                ["reproduce-table", "--table", "I", "--M", "8", "--k", "1",
+                 "--N", "200", "--tau", "0.4", "--tau", "0.6", "--S", "1",
+                 "--out", str(out)]
+            )
+        assert out.read_text().splitlines() == [
+            "M,k_or_kappa,N,tau,rate,ci_low,ci_high,S",
+            "8,1,200,0.4,1.0,0.2,1.0,1",
+        ]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["warning"].startswith(
+            "M=8 k_or_kappa=1 N=200 tau=0.4: 1 of 1 iterations failed numerically"
+        )
 
     def test_stdout_default(self, capsys):
         code = main(

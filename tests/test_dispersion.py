@@ -8,7 +8,6 @@ from pla import (
     NumericalError,
     SymmetryError,
     correlation_from_covariance,
-    sample_correlation,
     sample_covariance,
 )
 
@@ -44,18 +43,21 @@ class TestSampleCovariance:
 class TestSampleCorrelation:
     def test_perfectly_correlated_pair(self):
         data = DataMatrix(np.array([[0.0, 0.0], [2.0, 2.0]]))
-        corr = sample_correlation(data)
+        corr = correlation_from_covariance(sample_covariance(data).entries)
         np.testing.assert_allclose(corr.entries, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_unit_diagonal(self):
         rng = np.random.default_rng(3)
-        corr = sample_correlation(DataMatrix(rng.standard_normal((40, 4))))
+        cov = sample_covariance(DataMatrix(rng.standard_normal((40, 4))))
+        corr = correlation_from_covariance(cov.entries)
         np.testing.assert_array_equal(np.diag(corr.entries), np.ones(4))
 
     def test_constant_column_rejected(self):
         data = DataMatrix(np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]]))
         with pytest.raises(DegenerateColumnError):
-            sample_correlation(data)
+            correlation_from_covariance(
+                sample_covariance(data).entries, data.variable_names
+            )
 
     def test_population_normalization(self):
         # oracle: divide by sqrt(sigma_ii * sigma_jj) by hand
@@ -105,7 +107,7 @@ class TestEigendecompose:
     def test_correlation_trace_is_m(self):
         rng = np.random.default_rng(23)
         data = DataMatrix(rng.standard_normal((60, 5)))
-        es = sample_correlation(data).eigensystem
+        es = correlation_from_covariance(sample_covariance(data).entries).eigensystem
         assert abs(es.eigenvalues.sum() - 5.0) < 1e-9
 
 

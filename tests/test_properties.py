@@ -14,11 +14,11 @@ from pla import (
     DataMatrix,
     DispersionMatrix,
     PlaConfig,
+    correlation_from_covariance,
     detect_blocks,
     eigengap_bound,
     rescale_eigenvectors,
     run_pla,
-    sample_correlation,
     sample_covariance,
 )
 from pla.cli import main
@@ -115,7 +115,7 @@ def test_correlation_modes_are_scale_invariant(seed, sizes, mode, tau):
     data, scaled = DataMatrix(values), DataMatrix(values * scales)
     # Rounding moves loadings and eigenvalues by ~1e-13; skip inputs where
     # that could cross tau or reorder near-tied eigenvectors.
-    es = sample_correlation(data).eigensystem
+    es = correlation_from_covariance(sample_covariance(data).entries).eigensystem
     loadings = rescale_eigenvectors(es) if mode.endswith("-rescaled") else es.eigenvectors
     assume(np.abs(np.abs(loadings) - tau).min() > 1e-8)
     assume(np.diff(es.eigenvalues).max() < -1e-8)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import pla.core
-import pla.simulate
 from pla import (
+    DataMatrix,
     DimensionError,
     DispersionMatrix,
     ErrorEstimate,
@@ -16,7 +16,6 @@ from pla import (
     PopulationModel,
     ScenarioSpec,
     draw_covariance,
-    draw_sample,
     generate_population,
     reproduce_table,
     run_pla,
@@ -94,6 +93,17 @@ class TestGeneratePopulation:
         a = generate_population(spec(), seed=7)
         b = generate_population(spec(), seed=7)
         assert a.covariance.tobytes() == b.covariance.tobytes()
+
+
+def draw_sample(pop, n, seed):
+    """n Gaussian rows with covariance ``pop.covariance``, drawn via Cholesky.
+
+    The data-level reference that ``draw_covariance`` is checked against.
+    """
+    chol = np.linalg.cholesky(pop.covariance)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, pop.covariance.shape[0])) @ chol.T
+    return DataMatrix(values)
 
 
 class TestDrawSample:
@@ -264,7 +274,6 @@ class TestTypeOneError:
 
             return wrapper
 
-        monkeypatch.setattr(pla.simulate, "draw_sample", None)
         monkeypatch.setattr(np, "cov", counted("cov", np.cov))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         for mode in pla.core.MODES:
@@ -313,17 +322,17 @@ class TestTypeOneError:
 class TestReproduceTable:
     def test_row_grid(self):
         mc = MonteCarloSpec(iterations=5, master_seed=1)
-        rows = reproduce_table(
+        rows = list(reproduce_table(
             "I", mc, m_values=[8], count_values=[1], n_values=[200],
             taus=[0.4, 0.6],
-        )
+        ))
         assert [r["tau"] for r in rows] == [0.4, 0.6]
         assert all(r["M"] == 8 and r["N"] == 200 and r["S"] == 5 for r in rows)
         assert all(0.0 <= r["ci_low"] <= r["rate"] <= r["ci_high"] for r in rows)
 
     def test_empty_filter_empty_rows(self):
         mc = MonteCarloSpec(iterations=1)
-        assert reproduce_table("I", mc, m_values=[]) == []
+        assert list(reproduce_table("I", mc, m_values=[])) == []
 
     def test_unknown_table(self):
         with pytest.raises(ValueError):
@@ -331,9 +340,9 @@ class TestReproduceTable:
 
     def test_table_two_uses_block_scenario(self):
         mc = MonteCarloSpec(iterations=3, master_seed=2)
-        rows = reproduce_table(
+        rows = list(reproduce_table(
             "II", mc, m_values=[8], count_values=[2], n_values=[500],
             taus=[0.6],
-        )
+        ))
         assert len(rows) == 1
         assert rows[0]["k_or_kappa"] == 2
