@@ -1,95 +1,17 @@
 """Principal loading analysis: discard variables via eigenvector block structure."""
 
-from .core import (
-    Block,
-    BlockPartition,
-    PlaConfig,
-    PlaReport,
-    detect_blocks,
-    discard,
-    explained_variance_approx,
-    explained_variance_exact,
-    rescale_eigenvectors,
-    run_pla,
-)
-from .dispersion import (
-    DispersionMatrix,
-    EigenSystem,
-    correlation_from_covariance,
-    sample_covariance,
-)
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    DegenerateColumnError,
-    DimensionError,
-    FactorizationError,
-    InsufficientInputError,
-    NumericalError,
-    ParseError,
-    PlaError,
-    SymmetryError,
-    ZeroTraceError,
-)
-from .ingest import DataMatrix, load_csv, write_csv
-from .perturbation import (
-    BoundDiagnostic,
-    SensitivityProfile,
-    eigengap_bound,
-    variance_sensitivity,
-)
-from .simulate import (
-    ErrorEstimate,
-    MonteCarloSpec,
-    PopulationModel,
-    ScenarioSpec,
-    draw_covariance,
-    generate_population,
-    reproduce_table,
-    type_one_error,
-)
+from . import core, dispersion, errors, ingest, perturbation, simulate
+from .core import *
+from .dispersion import *
+from .errors import *
+from .ingest import *
+from .perturbation import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block",
-    "BlockPartition",
-    "BoundDiagnostic",
-    "ConfigError",
-    "ConsistencyError",
-    "DataMatrix",
-    "DegenerateColumnError",
-    "DimensionError",
-    "DispersionMatrix",
-    "EigenSystem",
-    "ErrorEstimate",
-    "FactorizationError",
-    "InsufficientInputError",
-    "MonteCarloSpec",
-    "NumericalError",
-    "ParseError",
-    "PlaConfig",
-    "PlaError",
-    "PlaReport",
-    "PopulationModel",
-    "ScenarioSpec",
-    "SensitivityProfile",
-    "SymmetryError",
-    "ZeroTraceError",
-    "correlation_from_covariance",
-    "detect_blocks",
-    "discard",
-    "draw_covariance",
-    "eigengap_bound",
-    "explained_variance_approx",
-    "explained_variance_exact",
-    "generate_population",
-    "load_csv",
-    "rescale_eigenvectors",
-    "reproduce_table",
-    "run_pla",
-    "sample_covariance",
-    "type_one_error",
-    "variance_sensitivity",
-    "write_csv",
+    name
+    for module in (core, dispersion, errors, ingest, perturbation, simulate)
+    for name in module.__all__
 ]

@@ -19,19 +19,8 @@ import numpy as np
 from . import __version__
 from .core import MODES, PlaConfig, discard, run_pla
 from .dispersion import DispersionMatrix
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    DegenerateColumnError,
-    DimensionError,
-    FactorizationError,
-    InsufficientInputError,
-    NumericalError,
-    ParseError,
-    SymmetryError,
-    ZeroTraceError,
-)
-from .ingest import load_csv, write_csv
+from .errors import ConfigError, DataError, NumericalError, ParseError
+from .ingest import _read_rows, load_csv, write_csv
 from .perturbation import eigengap_bound, variance_sensitivity
 from .simulate import MonteCarloSpec, ScenarioSpec, reproduce_table, type_one_error
 
@@ -39,23 +28,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-_DATA_ERRORS = (
-    ParseError,
-    DimensionError,
-    DegenerateColumnError,
-    ConsistencyError,
-    InsufficientInputError,
-    UnicodeDecodeError,
-    OSError,
-)
-_NUMERICAL_ERRORS = (
-    SymmetryError,
-    NumericalError,
-    ZeroTraceError,
-    FactorizationError,
-    np.linalg.LinAlgError,
-)
 
 
 def _report_error(code: int, message) -> int:
@@ -108,17 +80,9 @@ def _json_float(x) -> float | None:
 
 
 def _load_square_array(path: str) -> np.ndarray:
-    rows = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for row in csv.reader(fh):
-            if row:
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError:
-                    raise ParseError(f"{path}: non-numeric matrix cell") from None
-    if not rows or any(len(r) != len(rows) for r in rows):
+    _, array = _read_rows(path, ",", False, "fail")
+    if array.shape[0] != array.shape[1]:
         raise ParseError(f"{path}: matrix file must be square and numeric")
-    array = np.array(rows)
     if not np.all(np.isfinite(array)):
         raise ParseError(f"{path}: non-finite matrix cell")
     return array
@@ -346,9 +310,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         return _report_error(EXIT_USAGE, exc)
-    except _DATA_ERRORS as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         return _report_error(EXIT_DATA, exc)
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         return _report_error(EXIT_NUMERICAL, exc)
 
 

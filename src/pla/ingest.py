@@ -43,14 +43,6 @@ class DataMatrix:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variable_names", tuple(str(s) for s in names))
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
 
 def load_csv(
     path,
@@ -118,15 +110,15 @@ def _load_body(path: Path, delimiter: str, has_header: bool):
     return names, values
 
 
-def _read_rows(path: Path, delimiter: str, has_header: bool, na_policy: str):
+def _read_rows(path, delimiter: str, has_header: bool, na_policy: str):
     """Names and values read row by row with ``csv.reader`` and ``float``.
 
-    The reference reader: it raises every ParseError of ``load_csv``, each
-    citing the physical line, and under ``drop-row`` skips rows with a
-    non-numeric cell.
+    The reference reader, and the CLI's matrix-file reader: it raises every
+    ParseError of ``load_csv``, each citing the physical line, and under
+    ``drop-row`` skips rows with a non-numeric cell.
     """
     parsed: list[list[float]] = []
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         rows = ((reader.line_num, row) for row in reader if row)
         first = next(rows, None)

@@ -14,6 +14,7 @@ it, with one eigensolve.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -35,7 +36,6 @@ __all__ = [
     "draw_covariance",
     "type_one_error",
     "reproduce_table",
-    "TABLE_GRIDS",
 ]
 
 # Reference-table grids: (scenario, plant sizes, thresholds).
@@ -122,7 +122,6 @@ class PopulationModel:
 @dataclass(frozen=True)
 class ErrorEstimate:
     failures: int
-    iterations: int
     rate: float
     wilson_ci95: tuple[float, float]
     numerical_failures: int = 0
@@ -262,31 +261,23 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
     worker scheduling.  At most ``min(workers, iterations, os.cpu_count())``
     processes run; with one, no pool is started.
     """
-    indices = range(mc.iterations)
+    run = functools.partial(_run_iteration, spec, mc.master_seed)
     workers = min(mc.workers, mc.iterations, os.cpu_count() or 1)
     if workers > 1:
         # imported here: it loads multiprocessing, which one worker never needs
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    _run_iteration,
-                    [spec] * mc.iterations,
-                    [mc.master_seed] * mc.iterations,
-                    indices,
-                    chunksize=max(1, mc.iterations // (4 * workers)),
-                )
-            )
+            chunksize = max(1, mc.iterations // (4 * workers))
+            results = list(pool.map(run, range(mc.iterations), chunksize=chunksize))
     else:
-        results = [_run_iteration(spec, mc.master_seed, s) for s in indices]
+        results = list(map(run, range(mc.iterations)))
 
     successes = sum(1 for r in results if r[0])
     numerical = sum(1 for r in results if r[1])
     failures = mc.iterations - successes
     return ErrorEstimate(
         failures=failures,
-        iterations=mc.iterations,
         rate=failures / mc.iterations,
         wilson_ci95=_wilson_ci95(failures, mc.iterations),
         numerical_failures=numerical,

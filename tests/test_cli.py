@@ -10,6 +10,20 @@ import pla
 import pla.simulate
 from pla import DataMatrix, ErrorEstimate, load_csv, write_csv
 from pla.cli import main
+from pla.errors import (
+    ConfigError,
+    ConsistencyError,
+    DataError,
+    DegenerateColumnError,
+    DimensionError,
+    FactorizationError,
+    InsufficientInputError,
+    NumericalError,
+    ParseError,
+    PlaError,
+    SymmetryError,
+    ZeroTraceError,
+)
 
 BLOCK_3X3 = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 5.0]])
 
@@ -158,7 +172,7 @@ class TestDiscard:
         assert summary == {"discarded": ["X3"], "kept": ["X1", "X2"]}
         kept = load_csv(out)
         assert kept.variable_names == ("X1", "X2")
-        assert kept.n_rows == 5000
+        assert kept.values.shape[0] == 5000
 
 
 class TestBound:
@@ -374,7 +388,7 @@ class TestReproduceTable:
             if finished:
                 raise Interrupted
             finished.append(spec)
-            return ErrorEstimate(1, 1, 1.0, (0.2, 1.0), numerical_failures=1)
+            return ErrorEstimate(1, 1.0, (0.2, 1.0), numerical_failures=1)
 
         monkeypatch.setattr(pla.simulate, "type_one_error", one_cell)
         out = tmp_path / "rows.csv"
@@ -415,3 +429,49 @@ def test_import_starts_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+EXIT_CODES = {
+    ConfigError: 2,
+    DataError: 3,
+    ParseError: 3,
+    DimensionError: 3,
+    DegenerateColumnError: 3,
+    InsufficientInputError: 3,
+    ConsistencyError: 3,
+    NumericalError: 4,
+    SymmetryError: 4,
+    ZeroTraceError: 4,
+    FactorizationError: 4,
+}
+
+
+def error_classes(base):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from error_classes(cls)
+
+
+def test_every_error_class_has_an_exit_code(monkeypatch, capsys):
+    classes = set(error_classes(PlaError))
+    assert classes == set(EXIT_CODES)
+    argv = ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
+            "--N", "200", "--tau", "0.4", "--S", "1"]
+    for cls in classes:
+        def fail(spec, mc):
+            raise cls(f"planted {cls.__name__}")
+
+        monkeypatch.setattr(pla.cli, "type_one_error", fail)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_CODES[cls], cls
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"code": code, "message": f"planted {cls.__name__}"}
+        ]
+
+
+def test_public_names_are_unique_and_resolve():
+    assert len(pla.__all__) == len(set(pla.__all__))
+    assert all(hasattr(pla, name) for name in pla.__all__)
+    assert {PlaError, *EXIT_CODES} <= {getattr(pla, name) for name in pla.__all__}

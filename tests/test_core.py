@@ -330,6 +330,6 @@ class TestDiscard:
     def test_refuses_to_discard_everything(self):
         data = gaussian_sample(np.diag([1.0, 1.3, 1.6]), 3000, seed=53)
         report = self._report(data, tau=0.7, mode="covariance", ev_cutoff=0.6)
-        assert len(report.recommendation) == data.n_cols
+        assert len(report.recommendation) == data.values.shape[1]
         with pytest.raises(DimensionError):
             discard(data, report)

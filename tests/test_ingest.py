@@ -27,8 +27,7 @@ class TestLoadCsv:
     def test_header_and_shape(self, tmp_path):
         path = _write(tmp_path, "a,b,c\n1,2,3\n4,5,6\n7,8,9\n1,1,1\n2,2,2\n")
         data = load_csv(path)
-        assert data.n_rows == 5
-        assert data.n_cols == 3
+        assert data.values.shape == (5, 3)
         assert data.variable_names == ("a", "b", "c")
 
     def test_generated_names_without_header(self, tmp_path):
@@ -39,7 +38,7 @@ class TestLoadCsv:
     def test_na_drop_row(self, tmp_path):
         path = _write(tmp_path, "a,b,c\n1,2,3\n4,NA,6\n7,8,9\n1,1,1\n2,2,2\n")
         data = load_csv(path, na_policy="drop-row")
-        assert data.n_rows == 4
+        assert data.values.shape[0] == 4
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_na_drop_row_drops_non_finite_rows(self, tmp_path, cell):

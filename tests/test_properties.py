@@ -1,6 +1,7 @@
 """Property tests of invariants the method implies, for any input."""
 
 import contextlib
+import csv
 import io
 import json
 
@@ -21,8 +22,10 @@ from pla import (
     run_pla,
     sample_covariance,
 )
+from pla import cli
 from pla.cli import main
 from pla.core import MODES
+from pla.errors import ParseError
 
 taus = st.floats(0.01, 0.99)
 
@@ -215,3 +218,44 @@ def test_cli_answers_malformed_files_with_json_errors(fuzz_dir, text, command):
         assert out.getvalue() == ""
     elif "text" not in command:
         no_nan_json(out.getvalue())
+
+
+def oracle_square_array(path: str) -> np.ndarray:
+    """Reference for ``cli._load_square_array``: ``float`` of each ``csv.reader`` cell."""
+    rows = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for row in csv.reader(fh):
+            if row:
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError:
+                    raise ParseError(f"{path}: non-numeric matrix cell") from None
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise ParseError(f"{path}: matrix file must be square and numeric")
+    array = np.array(rows)
+    if not np.all(np.isfinite(array)):
+        raise ParseError(f"{path}: non-finite matrix cell")
+    return array
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts)
+@example(b"0")  # a 1 x 1 matrix
+@example("\ufeff2,0\n0,1\n".encode())  # a byte-order mark
+@example(b'"1","2"\n"3",4')  # quoted cells
+@example(b"\n1,0\n\n0,1\n\n")  # blank lines
+@example(b"1,2\n3\n")  # a ragged row
+def test_matrix_reader_matches_its_csv_float_oracle(fuzz_dir, text):
+    path = fuzz_dir / "matrix.csv"
+    path.write_bytes(text)
+    path = str(path)
+    try:
+        expected = oracle_square_array(path)
+    except (ParseError, UnicodeDecodeError, csv.Error) as exc:
+        with pytest.raises(Exception) as info:
+            cli._load_square_array(path)
+        assert info.type is type(exc)
+        return
+    got = cli._load_square_array(path)
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()

@@ -244,11 +244,10 @@ class TestWorkerCount:
 
 class TestTypeOneError:
     def test_single_iteration_rate(self):
-        est = type_one_error(
-            spec(n_sample=2000), MonteCarloSpec(iterations=1, master_seed=3)
-        )
+        mc = MonteCarloSpec(iterations=1, master_seed=3)
+        est = type_one_error(spec(n_sample=2000), mc)
         assert est.rate in (0.0, 1.0)
-        assert est.failures + (1 - est.failures) == est.iterations
+        assert est.failures + (1 - est.failures) == mc.iterations
 
     def test_reproducible(self):
         mc = MonteCarloSpec(iterations=20, master_seed=12)
