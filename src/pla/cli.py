@@ -80,7 +80,7 @@ def _json_float(x) -> float | None:
 
 
 def _load_square_array(path: str) -> np.ndarray:
-    _, array = _read_rows(path, ",", False, "fail")
+    _, array = _read_rows(path, ",", False)
     if array.shape[0] != array.shape[1]:
         raise ParseError(f"{path}: matrix file must be square and numeric")
     if not np.all(np.isfinite(array)):
@@ -224,10 +224,7 @@ def _cmd_sensitivity(args) -> int:
         increments = [float(x) for x in args.increments.split(",") if x.strip()]
     except ValueError:
         raise ConfigError("--increments must be comma-separated numbers") from None
-    try:
-        profile = variance_sensitivity(matrix, args.variable, increments)
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(str(exc)) from None
+    profile = variance_sensitivity(matrix, args.variable, increments)
     payload = {
         "target_variable": profile.target_variable,
         "eigen_index": profile.eigen_index,

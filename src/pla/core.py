@@ -156,7 +156,7 @@ def detect_blocks(loadings: np.ndarray, tau: float) -> BlockPartition:
     if loadings.ndim != 2 or loadings.shape[0] != loadings.shape[1]:
         raise DimensionError(f"loadings must be square, got {loadings.shape}")
     if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
+        raise ConfigError(f"tau must lie in (0, 1), got {tau}")
 
     m = loadings.shape[0]
     adjacency = np.abs(loadings) > tau  # [variable, eigenvector]

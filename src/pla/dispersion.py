@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateColumnError,
     DimensionError,
     NumericalError,
@@ -65,7 +66,7 @@ class DispersionMatrix:
         if entries.ndim != 2 or not 0 < entries.shape[0] == entries.shape[1]:
             raise DimensionError(f"need a non-empty square matrix, got {entries.shape}")
         if self.kind not in ("covariance", "correlation"):
-            raise ValueError(f"unknown dispersion kind {self.kind!r}")
+            raise ConfigError(f"unknown dispersion kind {self.kind!r}")
         if not np.all(np.isfinite(entries)):
             raise NumericalError(f"{self.kind} matrix has non-finite entries")
         scale = max(1.0, float(np.abs(entries).max()))

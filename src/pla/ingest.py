@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,6 +15,8 @@ import numpy as np
 from .errors import ConfigError, DimensionError, ParseError
 
 __all__ = ["DataMatrix", "load_csv", "write_csv"]
+
+_SPAN_FLOOR = 1 << 20  # bytes; a smaller span saves less than a fork and a pipe cost
 
 
 @dataclass(frozen=True)
@@ -59,12 +63,16 @@ def load_csv(
     skipped.
 
     Two readers give the same result.  The header, if any, is the first
-    non-blank record of ``csv.reader``; the body below it is parsed by one
-    ``np.loadtxt`` call, which converts each cell as ``float`` does.  When
-    that call fails, or its result is empty or does not match the header's
-    width, the row-by-row reader ``_read_rows`` reads the whole file again:
-    it alone reports errors with line numbers and drops non-numeric rows
-    under ``drop-row``.  Non-finite rows are dropped after either reader.
+    non-blank line, split by ``csv.reader``.  The body is cut at line ends
+    into spans of at least 1 MiB, one per usable CPU, or one where the CPUs
+    cannot be counted or another thread runs, which a fork would not copy.
+    ``np.loadtxt``, which converts each cell as ``float`` does, parses the
+    first span here and each other in a forked child that pipes its rows
+    back.  When a span fails, the spans hold no row or differ in width from
+    each other or the header, or the header's line has a bare CR or ends
+    inside quotes, the row reader ``_read_rows`` reads the file again: it
+    alone cites lines in errors and drops non-numeric rows under
+    ``drop-row``.  Rows that are not finite are dropped after either reader.
     """
     if na_policy not in ("fail", "drop-row"):
         raise ConfigError(f"unknown na_policy {na_policy!r}")
@@ -87,35 +95,90 @@ def load_csv(
 def _load_body(path: Path, delimiter: str, has_header: bool):
     """Names and values with the body parsed by ``np.loadtxt``, else None."""
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
+        with path.open("rb") as fh:
+            fh.seek(3 if fh.read(3) == b"\xef\xbb\xbf" else 0)  # skip a byte-order mark
             names = None
             if has_header:
-                records = csv.reader(fh, delimiter=delimiter)
-                first = next((row for row in records if row), None)
-                if first is None:
+                text = next((s for s in fh if s not in (b"\n", b"\r\n")), b"").decode()
+                if not text or "\r" in text.removesuffix("\r\n"):  # a bare CR ends it
                     return None
-                names = tuple(cell.strip() for cell in first)
-            with warnings.catch_warnings():
-                # a body without rows goes to _read_rows, which names the fault
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning
-                )
-                values = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2)
-    except (ValueError, TypeError):  # TypeError: numpy refuses "\n" or "\r"
+                cells = next(csv.reader([text], delimiter=delimiter))
+                if "\n" in "".join(cells):  # a quote left open carries the record on
+                    return None
+                names = tuple(map(str.strip, cells))
+            cuts = _cuts(fh)
+        parts = _parse_spans(path, delimiter, cuts)
+    except (OSError, ValueError, TypeError):  # TypeError: numpy refuses "\n" or "\r"
         return None
-    if names is None:
-        names = tuple(f"X{i + 1}" for i in range(values.shape[1]))
-    if len(values) == 0 or values.shape[1] != len(names):
+    parts = [part for part in parts if len(part)]
+    widths = {part.shape[1] for part in parts} | ({len(names)} if names else set())
+    if not parts or len(widths) != 1:
         return None
-    return names, values
+    names = names or tuple(f"X{i + 1}" for i in range(widths.pop()))
+    return names, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _read_rows(path, delimiter: str, has_header: bool, na_policy: str):
+def _cuts(fh) -> list[int]:
+    """Offsets cutting the body, from ``fh``'s position on, just after newlines."""
+    start, size = fh.tell(), fh.seek(0, os.SEEK_END)
+    lone = hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+    spans = min(len(os.sched_getaffinity(0)), (size - start) // _SPAN_FLOOR) if lone else 1
+    cuts = [start]
+    for i in range(1, spans):
+        fh.seek(start + (size - start) * i // spans - 1)
+        fh.readline()
+        cuts.append(fh.tell())
+    return cuts + [size]
+
+
+def _parse_spans(path: Path, delimiter: str, cuts: list[int]) -> list[np.ndarray]:
+    """Each span's array; a failed child's reply is short and raises ValueError."""
+    pids, fds = [], []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            fds += os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with open(fds[-1], "wb") as pipe:
+                        values = _parse_span(path, delimiter, lo, hi)
+                        pipe.writelines([np.array(values.shape, np.int64), values])
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+            os.close(fds.pop())
+        parts = [_parse_span(path, delimiter, cuts[0], cuts[1])]
+        for fd in fds:
+            with open(fd, "rb", closefd=False) as pipe:
+                reply = pipe.read()
+            rows, cols = np.frombuffer(reply[:16], np.int64)
+            parts.append(np.frombuffer(reply, offset=16).reshape(rows, cols))
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return parts
+
+
+def _parse_span(path: Path, delimiter: str, lo: int, hi: int) -> np.ndarray:
+    """The lines from byte ``lo`` to byte ``hi`` parsed by one ``np.loadtxt``."""
+    with path.open("rb") as fh, warnings.catch_warnings():
+        # a body without rows goes to _read_rows, which names the fault
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        fh.seek(lo)
+        lines = map(bytes.decode, itertools.takewhile(lambda _: fh.tell() <= hi, fh))
+        return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+
+
+def _read_rows(path, delimiter: str, has_header: bool, na_policy: str | None = None):
     """Names and values read row by row with ``csv.reader`` and ``float``.
 
-    The reference reader, and the CLI's matrix-file reader: it raises every
-    ParseError of ``load_csv``, each citing the physical line, and under
-    ``drop-row`` skips rows with a non-numeric cell.
+    The reference reader, and the CLI's matrix-file reader (``na_policy``
+    None: errors name no option): it raises every ParseError of ``load_csv``,
+    each citing the physical line, and under ``drop-row`` skips rows with a
+    non-numeric cell.
     """
     parsed: list[list[float]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -139,10 +202,9 @@ def _read_rows(path, delimiter: str, has_header: bool, na_policy: str):
             try:
                 parsed.append([float(cell) for cell in row])
             except ValueError:
-                if na_policy == "fail":
-                    raise ParseError(
-                        f"{path}:{lineno}: non-numeric cell under na_policy=fail"
-                    ) from None
+                if na_policy != "drop-row":
+                    tail = f" under na_policy={na_policy}" if na_policy else ""
+                    raise ParseError(f"{path}:{lineno}: non-numeric cell{tail}") from None
                 # drop-row: skip this observation
     return names, np.array(parsed, dtype=float).reshape(-1, width)
 

@@ -103,19 +103,19 @@ def variance_sensitivity(
     the unperturbed one (sign-aligned before differencing).
     """
     if m.kind != "covariance":
-        raise ValueError("variance sensitivity is defined for covariance matrices")
+        raise ConfigError("variance sensitivity is defined for covariance matrices")
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 1 or increments.size == 0:
-        raise ValueError("increments must be a non-empty 1-d grid")
+        raise ConfigError("increments must be a non-empty 1-d grid")
     if np.any(increments <= 0.0) or np.any(np.diff(increments) <= 0.0):
-        raise ValueError("increments must be strictly positive and increasing")
+        raise ConfigError("increments must be strictly positive and increasing")
     if not np.all(np.isfinite(increments)):
-        raise ValueError("increments must be finite")
+        raise ConfigError("increments must be finite")
 
     base_es = m.eigensystem
     size = base_es.size
     if not 0 <= d < size:
-        raise IndexError(f"variable index {d} out of range for size {size}")
+        raise ConfigError(f"variable index {d} out of range for size {size}")
     delta_idx = int(np.argmax(np.abs(base_es.eigenvectors[d, :])))
     v0 = base_es.eigenvectors[:, delta_idx]
     abs_v0 = np.abs(v0)

@@ -300,7 +300,7 @@ def reproduce_table(
     Passing an empty sequence for any filter yields no rows.
     """
     if table not in TABLE_GRIDS:
-        raise ValueError(f"unknown table {table!r}; expected 'I' or 'II'")
+        raise ConfigError(f"unknown table {table!r}; expected 'I' or 'II'")
     scenario, default_counts, default_taus = TABLE_GRIDS[table]
     m_values = TABLE_M_VALUES if m_values is None else tuple(m_values)
     count_values = default_counts if count_values is None else tuple(count_values)

@@ -221,6 +221,14 @@ class TestBound:
         assert code == 3
         capsys.readouterr()
 
+    def test_non_numeric_matrix_cell_names_no_option(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,x\n0,1\n")
+        code = main(["bound", "--matrix", str(path), "--delta", str(path), "--tau", "0.2"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == f"{path}:1: non-numeric cell"
+
 
 @pytest.mark.parametrize(
     "command, bad",
@@ -270,6 +278,13 @@ class TestSensitivity:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_variable_out_of_range_usage_error(self, tmp_path, capsys):
+        m = write_matrix(tmp_path, "m.csv", np.eye(2))
+        code = main(["sensitivity", "--matrix", m, "--variable", "2", "--increments", "0.1"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"code": 2, "message": "variable index 2 out of range for size 2"}
 
 
 class TestSimulate:

@@ -3,6 +3,7 @@ import pytest
 
 from pla import (
     Block,
+    ConfigError,
     ConsistencyError,
     DataMatrix,
     DimensionError,
@@ -122,6 +123,12 @@ class TestDetectBlocks:
             part = detect_blocks(es.eigenvectors, tau)
             expected = [(0, 1), (2, 3, 4), (5,)]
             assert sorted(b.variables for b in part.blocks) == expected
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, float("nan")])
+def test_detect_blocks_bad_tau_is_a_config_error(tau):
+    with pytest.raises(ConfigError, match="tau must lie in"):
+        detect_blocks(np.eye(3), tau)
 
 
 class TestExplainedVariance:

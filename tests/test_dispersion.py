@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pla import (
+    ConfigError,
     DataMatrix,
     DegenerateColumnError,
     DispersionMatrix,
@@ -17,6 +18,11 @@ BLOCK_3X3 = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 5.0]])
 def random_psd(rng, m, scale=1.0):
     a = rng.standard_normal((m, m))
     return scale * (a @ a.T) / m
+
+
+def test_unknown_kind_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown dispersion kind 'precision'"):
+        DispersionMatrix(np.eye(2), "precision")
 
 
 class TestSampleCovariance:

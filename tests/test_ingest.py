@@ -1,8 +1,11 @@
+import contextlib
+import os
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pla.ingest
@@ -202,17 +205,105 @@ def _outcome(path, **kwargs):
     return data.variable_names, data.values.shape, data.values.tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(csv_texts(), st.booleans(), st.sampled_from(["fail", "drop-row"]))
-def test_load_csv_matches_the_row_reader(tmp_path_factory, case, has_header, na_policy):
+def _matches_the_row_reader(path, case, has_header, na_policy):
     delimiter, text = case
-    path = tmp_path_factory.getbasetemp() / "differential.csv"
     path.write_bytes(text.encode("utf-8"))
     kwargs = dict(delimiter=delimiter, has_header=has_header, na_policy=na_policy)
     got = _outcome(path, **kwargs)
     with mock.patch.object(pla.ingest, "_load_body", return_value=None):
         want = _outcome(path, **kwargs)
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_texts(), st.booleans(), st.sampled_from(["fail", "drop-row"]))
+def test_load_csv_matches_the_row_reader(tmp_path_factory, case, has_header, na_policy):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    _matches_the_row_reader(path, case, has_header, na_policy)
+
+
+@contextlib.contextmanager
+def _split(cpus=3):
+    """Cut every body of ``cpus`` or more bytes into ``cpus`` spans."""
+    assert threading.active_count() == 1, "a body is split only in a lone thread"
+    with mock.patch.object(pla.ingest, "_SPAN_FLOOR", 1), mock.patch.object(
+        os, "sched_getaffinity", return_value=set(range(cpus)), create=True
+    ):
+        yield
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_texts(), st.booleans(), st.sampled_from(["fail", "drop-row"]))
+# spans "1,2", "3,4", "5,6": the first span is the row right after the header
+@example((",", "a,b\n1,2\n3,4\n5,6\n"), True, "fail")
+@example((",", "a,b\r\n1,2\r\n3,4\r\n5,6\r\n"), True, "fail")
+@example((",", "a,b\r1,2\r3,4\r5,6\r"), True, "fail")  # bare CR: the row reader
+@example((",", "a,b\n\n\n\n\n1,2\n3,4\n"), True, "fail")  # a span of blank lines
+@example((",", "\ufeffa,b\n1,2\n3,4\n5,6\n"), True, "fail")
+@example((",", "\ufeff1,2\n3,4\n5,6\n"), False, "fail")
+@example((",", "1,2\n3,4\n5,6,7\n"), False, "fail")  # spans of different widths
+@example((",", "a,b\n1,2\nx,4\n5,6\n"), True, "drop-row")
+@example((",", "a,b\n1,2\nx,4\n5,6\n"), True, "fail")
+@example((",", 'a,"b\n"\n1,2\n3,4\n'), True, "fail")  # a header record of two lines
+@example((",", '"a","b"\n1,2\n3,4\n'), True, "fail")
+def test_split_load_csv_matches_the_row_reader(
+    tmp_path_factory, case, has_header, na_policy
+):
+    path = tmp_path_factory.getbasetemp() / "split.csv"
+    with _split():
+        _matches_the_row_reader(path, case, has_header, na_policy)
+    _no_children_left()
+
+
+class TestSplitBody:
+    TEXT = "a,b\n1,2\n3,4\n5,6\n"
+
+    def test_spans_end_just_after_a_newline(self, tmp_path):
+        path = _write(tmp_path, self.TEXT + "\n\n17,18\n")
+        # the body is 20 bytes; each cut ends the line holding byte 6 or 13 of it
+        with _split(), path.open("rb") as fh:
+            fh.seek(4)
+            assert pla.ingest._cuts(fh) == [4, 12, 17, 24]
+
+    def test_clean_body_is_parsed_in_forked_children(self, tmp_path):
+        path = _write(tmp_path, self.TEXT)
+        with _split(), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                mock.patch.object(pla.ingest, "_read_rows", side_effect=AssertionError):
+            data = load_csv(path)
+        assert fork.call_count == 2
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [5, 6]])
+        assert data.variable_names == ("a", "b")
+        _no_children_left()
+
+    def test_a_failing_child_leaves_the_error_to_the_row_reader(
+        self, tmp_path, monkeypatch
+    ):
+        parent, parse_span = os.getpid(), pla.ingest._parse_span
+
+        def crash_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("planted")
+            return parse_span(*args)
+
+        monkeypatch.setattr(pla.ingest, "_parse_span", crash_in_child)
+        path = _write(tmp_path, self.TEXT.replace("5,6", "5,x"))
+        with _split(), pytest.raises(ParseError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:4: non-numeric cell under na_policy=fail"
+        _no_children_left()
+        path = _write(tmp_path, self.TEXT, name="clean.csv")
+        with _split(), mock.patch.object(
+            pla.ingest, "_read_rows", wraps=pla.ingest._read_rows
+        ) as read_rows:
+            data = load_csv(path)
+        assert read_rows.call_count == 1
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [5, 6]])
+        _no_children_left()
 
 
 @pytest.mark.parametrize("delimiter", ["\n", "\r"])

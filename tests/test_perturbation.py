@@ -3,6 +3,7 @@ import pytest
 
 from pla import (
     BoundDiagnostic,
+    ConfigError,
     DispersionMatrix,
     NumericalError,
     SymmetryError,
@@ -147,19 +148,19 @@ class TestVarianceSensitivity:
 
     def test_input_validation(self):
         m = DispersionMatrix(np.eye(3), "covariance")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             variance_sensitivity(m, 0, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             variance_sensitivity(m, 0, [0.2, 0.1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             variance_sensitivity(m, 0, [-0.1, 0.2])
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigError):
             variance_sensitivity(m, 5, [0.1])
         for grid in ([0.1, np.nan], [0.1, np.inf], [np.nan]):
-            with pytest.raises(ValueError, match="increments must be finite"):
+            with pytest.raises(ConfigError, match="increments must be finite"):
                 variance_sensitivity(m, 0, grid)
         corr = DispersionMatrix(np.eye(3), "correlation")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             variance_sensitivity(corr, 0, [0.1])
 
     def test_overflow_is_an_error_or_an_infinite_quotient(self):

@@ -6,6 +6,7 @@ import pytest
 
 import pla.core
 from pla import (
+    ConfigError,
     DataMatrix,
     DimensionError,
     DispersionMatrix,
@@ -334,7 +335,7 @@ class TestReproduceTable:
         assert list(reproduce_table("I", mc, m_values=[])) == []
 
     def test_unknown_table(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="unknown table 'III'"):
             reproduce_table("III", MonteCarloSpec(iterations=1))
 
     def test_table_two_uses_block_scenario(self):
