@@ -62,15 +62,11 @@ def load_csv(
     lines included.  The file is read as UTF-8; a leading byte-order mark is
     skipped.
 
-    Two readers give the same result.  The header, if any, is the first
-    non-blank line, split by ``csv.reader``.  The body is cut at line ends
-    into spans of at least 1 MiB, one per usable CPU, or one where the CPUs
-    cannot be counted or another thread runs, which a fork would not copy.
-    ``np.loadtxt``, which converts each cell as ``float`` does, parses the
-    first span here and each other in a forked child that pipes its rows
-    back.  When a span fails, the spans hold no row or differ in width from
-    each other or the header, or the header's line has a bare CR or ends
-    inside quotes, the row reader ``_read_rows`` reads the file again: it
+    The header is the first non-blank line, split by ``csv.reader``.  The
+    body is cut at line ends into spans of at least 1 MiB, one per usable
+    CPU, or one beside another thread.  ``np.loadtxt`` parses the first span
+    here and each other in a forked child that pipes its rows back.  If a
+    span fails or the widths differ, ``_read_rows`` reads the file again: it
     alone cites lines in errors and drops non-numeric rows under
     ``drop-row``.  Rows that are not finite are dropped after either reader.
     """
@@ -79,9 +75,8 @@ def load_csv(
     if len(delimiter) != 1:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
     path = Path(path)
-    names, values = _load_body(path, delimiter, has_header) or _read_rows(
-        path, delimiter, has_header, na_policy
-    )
+    names, values = (_load_body(path, delimiter, has_header)
+                     or _read_rows(path, delimiter, has_header, na_policy))
     width = len(names)
     if width < 2:
         raise DimensionError(f"{path}: need at least 2 columns, got {width}")
@@ -126,20 +121,24 @@ def _cuts(fh) -> list[int]:
     cuts = [start]
     for i in range(1, spans):
         fh.seek(start + (size - start) * i // spans - 1)
-        fh.readline()
-        cuts.append(fh.tell())
+        cuts.append(fh.tell() + len(fh.readline()))
     return cuts + [size]
 
 
 def _parse_spans(path: Path, delimiter: str, cuts: list[int]) -> list[np.ndarray]:
     """Each span's array; a failed child's reply is short and raises ValueError."""
-    pids, fds = [], []
+    pids, fds, caught = [], [], []
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             fds += os.pipe()
-            pid = os.fork()
+            # 3.12+ may warn after the fork; raised here, it would lose the pid
+            with warnings.catch_warnings(record=True) as forking:
+                warnings.simplefilter("always")
+                pid = os.fork()
             if pid == 0:
                 try:
+                    for fd in fds[:-1]:  # the parent alone reads, so it can break the pipe
+                        os.close(fd)
                     with open(fds[-1], "wb") as pipe:
                         values = _parse_span(path, delimiter, lo, hi)
                         pipe.writelines([np.array(values.shape, np.int64), values])
@@ -147,6 +146,7 @@ def _parse_spans(path: Path, delimiter: str, cuts: list[int]) -> list[np.ndarray
                 finally:
                     os._exit(1)
             pids.append(pid)
+            caught += forking
             os.close(fds.pop())
         parts = [_parse_span(path, delimiter, cuts[0], cuts[1])]
         for fd in fds:
@@ -159,6 +159,8 @@ def _parse_spans(path: Path, delimiter: str, cuts: list[int]) -> list[np.ndarray
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
+        for record in caught:
+            warnings.warn(record.message)  # now that no child is left
     return parts
 
 
@@ -175,10 +177,8 @@ def _parse_span(path: Path, delimiter: str, lo: int, hi: int) -> np.ndarray:
 def _read_rows(path, delimiter: str, has_header: bool, na_policy: str | None = None):
     """Names and values read row by row with ``csv.reader`` and ``float``.
 
-    The reference reader, and the CLI's matrix-file reader (``na_policy``
-    None: errors name no option): it raises every ParseError of ``load_csv``,
-    each citing the physical line, and under ``drop-row`` skips rows with a
-    non-numeric cell.
+    Every ParseError of ``load_csv`` comes from here, citing the physical
+    line; with ``na_policy`` None, for matrix files, errors name no option.
     """
     parsed: list[list[float]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -1,6 +1,8 @@
 import contextlib
 import os
+import signal
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -302,6 +304,60 @@ class TestSplitBody:
         ) as read_rows:
             data = load_csv(path)
         assert read_rows.call_count == 1
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [5, 6]])
+        _no_children_left()
+
+
+    # 30000 rows: each child's reply, about 160 kB, outgrows a pipe's 64 KiB buffer
+    @pytest.mark.parametrize("cpus, bad", [(2, 0), (3, 10_010)])
+    def test_a_parent_that_stops_reading_breaks_the_childs_pipe(self, tmp_path, cpus, bad):
+        # bad row 0 fails the parent's own span; row 10010 fails the first child's
+        rows = [f"{i}.123456789,{i}.987654321\n" for i in range(30_000)]
+        rows[bad] = "1,x\n"
+        path = _write(tmp_path, "a,b\n" + "".join(rows))
+        fork, pids, hung = os.fork, [], []
+
+        def recorded_fork():
+            pids.append(fork())
+            return pids[-1]
+
+        def kill_children(*_):  # else a child blocked on a full pipe hangs waitpid
+            hung.append(True)
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+
+        previous = signal.signal(signal.SIGALRM, kill_children)
+        signal.alarm(30)
+        try:
+            with _split(cpus), mock.patch.object(os, "fork", recorded_fork), \
+                    pytest.raises(ParseError) as info:
+                load_csv(path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not hung
+        assert str(info.value) == f"{path}:{bad + 2}: non-numeric cell under na_policy=fail"
+        _no_children_left()
+
+    def test_a_fork_warning_is_raised_once_no_child_is_left(self, tmp_path):
+        fork = os.fork
+
+        def warning_fork():  # as Python 3.12+ may do in a process with other threads
+            pid = fork()
+            if pid:
+                warnings.warn("fork of a multi-threaded process", DeprecationWarning)
+            return pid
+
+        path = _write(tmp_path, self.TEXT)
+        with _split(), mock.patch.object(os, "fork", warning_fork):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DeprecationWarning, match="multi-threaded"):
+                    load_csv(path)
+            _no_children_left()
+            with pytest.warns(DeprecationWarning, match="multi-threaded") as record:
+                data = load_csv(path)
+        assert len([w for w in record if "multi-threaded" in str(w.message)]) == 2
         np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [5, 6]])
         _no_children_left()
 
