@@ -10,19 +10,20 @@ import argparse
 import contextlib
 import csv
 import json
-import os
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
+from ._fork import usable_cpus
 from .core import MODES, PlaConfig, discard, run_pla
 from .dispersion import DispersionMatrix
 from .errors import ConfigError, DataError, NumericalError, ParseError
 from .ingest import _read_rows, load_csv, write_csv
 from .perturbation import eigengap_bound, variance_sensitivity
-from .simulate import MonteCarloSpec, ScenarioSpec, reproduce_table, type_one_error
+from .simulate import (TABLE_COLUMNS, MonteCarloSpec, ScenarioSpec, reproduce_table,
+                       type_one_error)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,19 +87,6 @@ def _load_square_array(path: str) -> np.ndarray:
     if not np.all(np.isfinite(array)):
         raise ParseError(f"{path}: non-finite matrix cell")
     return array
-
-
-def _workers() -> int:
-    """Worker count from ``PLA_THREADS``; an invalid value warns and gives 1."""
-    raw = os.environ.get("PLA_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers >= 1:
-        return workers
-    _warn(f"PLA_THREADS={raw!r} is not a positive integer; using 1 worker")
-    return 1
 
 
 def _warn_numerical(cell: dict) -> None:
@@ -243,7 +231,7 @@ def _cmd_simulate(args) -> int:
     spec = ScenarioSpec(m_total=args.M, scenario=args.scenario, count=args.count,
                         n_sample=args.N, tau=args.tau, mode=args.mode,
                         epsilon_scale=args.epsilon_scale)
-    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=_workers())
+    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=usable_cpus())
     est = type_one_error(spec, mc)
     payload = {
         "scenario": args.scenario, "M": args.M, "k_or_kappa": args.count,
@@ -258,8 +246,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
-    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=_workers())
-    header = ["M", "k_or_kappa", "N", "tau", "rate", "ci_low", "ci_high", "S"]
+    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=usable_cpus())
     # Validates every cell and runs none, so an invalid grid touches no file.
     rows = reproduce_table(args.table, mc, m_values=args.M, count_values=args.count,
                            n_values=args.N, taus=args.tau)
@@ -272,7 +259,7 @@ def _cmd_reproduce_table(args) -> int:
         )
         start = time.time()
         sink = out or sys.stdout
-        writer = csv.DictWriter(sink, fieldnames=header, extrasaction="ignore")
+        writer = csv.DictWriter(sink, fieldnames=TABLE_COLUMNS)
         writer.writeheader()
         written = 0
         for written, row in enumerate(rows, 1):

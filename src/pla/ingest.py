@@ -5,13 +5,13 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._fork import fork_map, usable_cpus
 from .errors import ConfigError, DimensionError, ParseError
 
 __all__ = ["DataMatrix", "load_csv", "write_csv"]
@@ -64,8 +64,8 @@ def load_csv(
 
     The header is the first non-blank line, split by ``csv.reader``.  The
     body is cut at line ends into spans of at least 1 MiB, one per usable
-    CPU, or one beside another thread.  ``np.loadtxt`` parses the first span
-    here and each other in a forked child that pipes its rows back.  If a
+    CPU.  ``np.loadtxt`` parses the first span here and each other in a
+    forked child (``_fork.fork_map``) that pipes its rows back.  If a
     span fails or the widths differ, ``_read_rows`` reads the file again: it
     alone cites lines in errors and drops non-numeric rows under
     ``drop-row``.  Rows that are not finite are dropped after either reader.
@@ -94,16 +94,24 @@ def _load_body(path: Path, delimiter: str, has_header: bool):
             fh.seek(3 if fh.read(3) == b"\xef\xbb\xbf" else 0)  # skip a byte-order mark
             names = None
             if has_header:
-                text = next((s for s in fh if s not in (b"\n", b"\r\n")), b"").decode()
-                if not text or "\r" in text.removesuffix("\r\n"):  # a bare CR ends it
+                body = fh.tell()
+                for line in (piece for raw in fh for piece in raw.splitlines(keepends=True)):
+                    body += len(line)
+                    if line.strip(b"\r\n"):  # the first line that is not blank
+                        break
+                else:
                     return None
-                cells = next(csv.reader([text], delimiter=delimiter))
-                if "\n" in "".join(cells):  # a quote left open carries the record on
+                cells = next(csv.reader([line.decode()], delimiter=delimiter))
+                if {"\r", "\n"} & set("".join(cells)):  # a quote left open carries on
                     return None
                 names = tuple(map(str.strip, cells))
+                fh.seek(body)
             cuts = _cuts(fh)
-        parts = _parse_spans(path, delimiter, cuts)
+        parts = fork_map(lambda span: _parse_span(path, delimiter, *span),
+                         list(zip(cuts, cuts[1:])))
     except (OSError, ValueError, TypeError):  # TypeError: numpy refuses "\n" or "\r"
+        return None
+    if any(part is None for part in parts):  # a child failed
         return None
     parts = [part for part in parts if len(part)]
     widths = {part.shape[1] for part in parts} | ({len(names)} if names else set())
@@ -116,52 +124,14 @@ def _load_body(path: Path, delimiter: str, has_header: bool):
 def _cuts(fh) -> list[int]:
     """Offsets cutting the body, from ``fh``'s position on, just after newlines."""
     start, size = fh.tell(), fh.seek(0, os.SEEK_END)
-    lone = hasattr(os, "sched_getaffinity") and threading.active_count() == 1
-    spans = min(len(os.sched_getaffinity(0)), (size - start) // _SPAN_FLOOR) if lone else 1
+    spans = min(usable_cpus(), (size - start) // _SPAN_FLOOR)
     cuts = [start]
     for i in range(1, spans):
         fh.seek(start + (size - start) * i // spans - 1)
-        cuts.append(fh.tell() + len(fh.readline()))
+        cut = fh.tell() + len(fh.readline())
+        if cuts[-1] < cut < size:  # else one line, or a body without LF, holds two cuts
+            cuts.append(cut)
     return cuts + [size]
-
-
-def _parse_spans(path: Path, delimiter: str, cuts: list[int]) -> list[np.ndarray]:
-    """Each span's array; a failed child's reply is short and raises ValueError."""
-    pids, fds, caught = [], [], []
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            fds += os.pipe()
-            # 3.12+ may warn after the fork; raised here, it would lose the pid
-            with warnings.catch_warnings(record=True) as forking:
-                warnings.simplefilter("always")
-                pid = os.fork()
-            if pid == 0:
-                try:
-                    for fd in fds[:-1]:  # the parent alone reads, so it can break the pipe
-                        os.close(fd)
-                    with open(fds[-1], "wb") as pipe:
-                        values = _parse_span(path, delimiter, lo, hi)
-                        pipe.writelines([np.array(values.shape, np.int64), values])
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-            caught += forking
-            os.close(fds.pop())
-        parts = [_parse_span(path, delimiter, cuts[0], cuts[1])]
-        for fd in fds:
-            with open(fd, "rb", closefd=False) as pipe:
-                reply = pipe.read()
-            rows, cols = np.frombuffer(reply[:16], np.int64)
-            parts.append(np.frombuffer(reply, offset=16).reshape(rows, cols))
-    finally:
-        for fd in fds:
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
-        for record in caught:
-            warnings.warn(record.message)  # now that no child is left
-    return parts
 
 
 def _parse_span(path: Path, delimiter: str, lo: int, hi: int) -> np.ndarray:
@@ -170,7 +140,9 @@ def _parse_span(path: Path, delimiter: str, lo: int, hi: int) -> np.ndarray:
         # a body without rows goes to _read_rows, which names the fault
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         fh.seek(lo)
-        lines = map(bytes.decode, itertools.takewhile(lambda _: fh.tell() <= hi, fh))
+        raw = itertools.takewhile(lambda _: fh.tell() <= hi, fh)  # split at LF only
+        # a lone CR ends a line too, as it does for csv.reader
+        lines = (line.decode() for chunk in raw for line in chunk.splitlines())
         return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
 
 

@@ -14,15 +14,14 @@ it, with one eigensolve.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fork import fork_map, one_blas_thread, usable_cpus
 from .core import MODES, _detect
 from .dispersion import DispersionMatrix, correlation_from_covariance
 from .errors import ConfigError, DimensionError, FactorizationError, PlaError
@@ -45,9 +44,16 @@ TABLE_GRIDS = {
 }
 TABLE_M_VALUES = tuple(range(20, 201, 20))
 TABLE_N_VALUES = (5000, 10000)
+# The fields of each reproduce_table row, in the CLI's CSV column order.
+TABLE_COLUMNS = ("M", "k_or_kappa", "N", "tau", "rate", "ci_low", "ci_high", "S",
+                 "numerical_failures")
 # Uniform ranges of the one-factor loadings of the core and the planted block.
 CORE_LOADING_RANGE = (0.32, 0.8)
 PLANTED_LOADING_RANGE = (0.79, 0.81)
+# Iterations per process, at least.  An extra process cost about 3.5 ms on a
+# 2-vCPU host (fork, pipe, and the wait for the child's exit), about seven
+# iterations at the smallest table size, M=20; from 16 on, forking paid.
+_RANGE_FLOOR = 16
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,8 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class MonteCarloSpec:
+    """Iterations, master seed, and at most how many processes run them."""
+
     iterations: int
     master_seed: int = 0
     workers: int = 1
@@ -257,24 +265,29 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
     planted variable lies in a block made only of planted variables
     (single-vars: the singletons may share one block, see ``_recovered``) or
     the planted variables form exactly one block (one-block).  Per-iteration
-    seeds are derived from the master seed, so the estimate is independent of
-    worker scheduling.  At most ``min(workers, iterations, os.cpu_count())``
-    processes run; with one, no pool is started.
+    seeds are derived from the master seed, and BLAS runs on one thread, so
+    the estimate does not depend on the process count.  ``range(S)`` is cut
+    into one contiguous range per process, at most ``workers`` and the
+    usable CPUs, with at least ``_RANGE_FLOOR`` iterations each; the first
+    runs here and each other in a forked child (``_fork.fork_map``).  A
+    range whose child failed runs again here, so its exception reaches the
+    caller.  Where BLAS cannot be pinned, one process runs them all.
     """
-    run = functools.partial(_run_iteration, spec, mc.master_seed)
-    workers = min(mc.workers, mc.iterations, os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: it loads multiprocessing, which one worker never needs
-        from concurrent.futures import ProcessPoolExecutor
+    def run(span):  # (success, numerical failure) rows
+        rows = [_run_iteration(spec, mc.master_seed, s) for s in range(*span)]
+        return np.array(rows, dtype=float).reshape(-1, 2)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, mc.iterations // (4 * workers))
-            results = list(pool.map(run, range(mc.iterations), chunksize=chunksize))
-    else:
-        results = list(map(run, range(mc.iterations)))
+    with one_blas_thread() as pinned:
+        fit = min(mc.workers, usable_cpus(), mc.iterations // _RANGE_FLOOR)
+        processes = max(1, fit) if pinned else 1
+        cuts = [mc.iterations * i // processes for i in range(processes + 1)]
+        spans = list(zip(cuts, cuts[1:]))
+        parts = fork_map(run, spans)
+        results = np.concatenate(
+            [run(span) if part is None else part for span, part in zip(spans, parts)]
+        )
 
-    successes = sum(1 for r in results if r[0])
-    numerical = sum(1 for r in results if r[1])
+    successes, numerical = (int(n) for n in results.sum(axis=0))
     failures = mc.iterations - successes
     return ErrorEstimate(
         failures=failures,
@@ -295,8 +308,8 @@ def reproduce_table(
     """Estimate Type I error over a grid matching the reference table layout.
 
     Validates every (M, k-or-kappa, N, tau) cell, then returns an iterator
-    that runs the cells in order and yields each one's row as it finishes:
-    M, k_or_kappa, N, tau, rate, ci_low, ci_high, S, numerical_failures.
+    that runs the cells in order and yields each one's row as it finishes,
+    a dict keyed by ``TABLE_COLUMNS``.
     Passing an empty sequence for any filter yields no rows.
     """
     if table not in TABLE_GRIDS:
@@ -315,16 +328,9 @@ def reproduce_table(
     def rows():
         for spec in specs:
             est = type_one_error(spec, mc)
-            yield {
-                "M": spec.m_total,
-                "k_or_kappa": spec.count,
-                "N": spec.n_sample,
-                "tau": spec.tau,
-                "rate": est.rate,
-                "ci_low": est.wilson_ci95[0],
-                "ci_high": est.wilson_ci95[1],
-                "S": mc.iterations,
-                "numerical_failures": est.numerical_failures,
-            }
+            yield dict(zip(TABLE_COLUMNS, (
+                spec.m_total, spec.count, spec.n_sample, spec.tau, est.rate,
+                *est.wilson_ci95, mc.iterations, est.numerical_failures,
+            )))
 
     return rows()

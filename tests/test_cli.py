@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,8 @@ import pytest
 
 import pla
 import pla.simulate
-from pla import DataMatrix, ErrorEstimate, load_csv, write_csv
+from pla import (DataMatrix, ErrorEstimate, MonteCarloSpec, load_csv, reproduce_table,
+                 write_csv)
 from pla.cli import main
 from pla.errors import (
     ConfigError,
@@ -308,19 +311,7 @@ class TestSimulate:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
-    @pytest.mark.parametrize("threads", ["two", "0", "-3", ""])
-    def test_invalid_pla_threads_warns(self, threads, monkeypatch, capsys):
-        monkeypatch.setenv("PLA_THREADS", threads)
-        argv = ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
-                "--N", "500", "--tau", "0.4", "--S", "2"]
-        assert main(argv) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        warning = json.loads(err[0])["warning"]
-        assert "PLA_THREADS" in warning and "using 1 worker" in warning
-
-    def test_valid_pla_threads_is_silent(self, monkeypatch, capsys):
-        monkeypatch.setenv("PLA_THREADS", "1")
+    def test_a_clean_run_prints_nothing_on_stderr(self, capsys):
         argv = ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
                 "--N", "500", "--tau", "0.4", "--S", "2"]
         assert main(argv) == 0
@@ -359,7 +350,7 @@ class TestReproduceTable:
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "M,k_or_kappa,N,tau,rate,ci_low,ci_high,S"
+        assert lines[0] == "M,k_or_kappa,N,tau,rate,ci_low,ci_high,S,numerical_failures"
         assert len(lines) == 3
         meta = json.loads(manifest.read_text())
         assert meta["rows"] == 2
@@ -414,14 +405,27 @@ class TestReproduceTable:
                  "--out", str(out)]
             )
         assert out.read_text().splitlines() == [
-            "M,k_or_kappa,N,tau,rate,ci_low,ci_high,S",
-            "8,1,200,0.4,1.0,0.2,1.0,1",
+            "M,k_or_kappa,N,tau,rate,ci_low,ci_high,S,numerical_failures",
+            "8,1,200,0.4,1.0,0.2,1.0,1,1",
         ]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["warning"].startswith(
             "M=8 k_or_kappa=1 N=200 tau=0.4: 1 of 1 iterations failed numerically"
         )
+
+    def test_the_csv_holds_every_field_of_a_row(self, capsys):
+        mc = MonteCarloSpec(iterations=2, master_seed=3)
+        want = list(reproduce_table("II", mc, m_values=[8], count_values=[2],
+                                    n_values=[200], taus=[0.6, 0.8]))
+        code = main(
+            ["reproduce-table", "--table", "II", "--M", "8", "--k", "2", "--N", "200",
+             "--tau", "0.6", "--tau", "0.8", "--S", "2", "--seed", "3"]
+        )
+        assert code == 0
+        reader = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert reader.fieldnames == list(pla.simulate.TABLE_COLUMNS) == list(want[0])
+        assert list(reader) == [{k: str(v) for k, v in row.items()} for row in want]
 
     def test_stdout_default(self, capsys):
         code = main(
@@ -434,7 +438,7 @@ class TestReproduceTable:
 
 
 def test_import_starts_no_process_machinery():
-    # One-worker commands never start a pool; importing it costs start-up time.
+    # pla forks by itself; importing a pool module would only cost start-up time.
     src = os.path.dirname(os.path.dirname(pla.__file__))
     probe = (
         "import sys, pla.cli; "

@@ -2,7 +2,6 @@ import contextlib
 import os
 import signal
 import threading
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -244,7 +243,7 @@ def _no_children_left():
 # spans "1,2", "3,4", "5,6": the first span is the row right after the header
 @example((",", "a,b\n1,2\n3,4\n5,6\n"), True, "fail")
 @example((",", "a,b\r\n1,2\r\n3,4\r\n5,6\r\n"), True, "fail")
-@example((",", "a,b\r1,2\r3,4\r5,6\r"), True, "fail")  # bare CR: the row reader
+@example((",", "a,b\r1,2\r3,4\r5,6\r"), True, "fail")  # bare CR line ends
 @example((",", "a,b\n\n\n\n\n1,2\n3,4\n"), True, "fail")  # a span of blank lines
 @example((",", "\ufeffa,b\n1,2\n3,4\n5,6\n"), True, "fail")
 @example((",", "\ufeff1,2\n3,4\n5,6\n"), False, "fail")
@@ -339,27 +338,19 @@ class TestSplitBody:
         assert str(info.value) == f"{path}:{bad + 2}: non-numeric cell under na_policy=fail"
         _no_children_left()
 
-    def test_a_fork_warning_is_raised_once_no_child_is_left(self, tmp_path):
-        fork = os.fork
 
-        def warning_fork():  # as Python 3.12+ may do in a process with other threads
-            pid = fork()
-            if pid:
-                warnings.warn("fork of a multi-threaded process", DeprecationWarning)
-            return pid
-
-        path = _write(tmp_path, self.TEXT)
-        with _split(), mock.patch.object(os, "fork", warning_fork):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(DeprecationWarning, match="multi-threaded"):
-                    load_csv(path)
-            _no_children_left()
-            with pytest.warns(DeprecationWarning, match="multi-threaded") as record:
-                data = load_csv(path)
-        assert len([w for w in record if "multi-threaded" in str(w.message)]) == 2
-        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [5, 6]])
-        _no_children_left()
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("ends", [["\n"], ["\r\n"], ["\r"], ["\n", "\r", "\r\n"]])
+def test_every_line_end_takes_the_fast_path(tmp_path, ends, cpus):
+    lines = ["", "a,b", "1,2", "", "3.5,-4", "5,6e3", "", "", "7,8", "9,1"]
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    path = _write(tmp_path, text)
+    with mock.patch.object(pla.ingest, "_load_body", return_value=None):
+        want = _outcome(path)
+    with _split(cpus), mock.patch.object(pla.ingest, "_read_rows", side_effect=AssertionError):
+        assert _outcome(path) == want
+    assert want[1] == (5, 2)
+    _no_children_left()
 
 
 @pytest.mark.parametrize("delimiter", ["\n", "\r"])

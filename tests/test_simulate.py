@@ -1,10 +1,16 @@
-import concurrent.futures
+import contextlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ingest import _no_children_left
 
+import pla._fork
 import pla.core
+import pla.simulate
 from pla import (
     ConfigError,
     DataMatrix,
@@ -194,53 +200,77 @@ class TestDrawCovariance:
         assert lo <= rows_hi and rows_lo <= hi
 
 
-class _NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("no process pool should be started")
+with pla._fork.one_blas_thread() as PINNED:  # else the Monte Carlo runs in one process
+    pass
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
+class _Planted(Exception):
+    pass
 
 
-class TestWorkerCount:
-    @pytest.mark.parametrize(
-        "cpus, workers, iterations", [(1, 4, 3), (8, 4, 1), (None, 2, 3)]
-    )
-    def test_single_effective_worker_starts_no_pool(
-        self, monkeypatch, cpus, workers, iterations
-    ):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-        s = spec(n_sample=200)
-        seq = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=2))
+@contextlib.contextmanager
+def _cpus(count):
+    """``count`` usable CPUs, and a process for every iteration they allow."""
+    with mock.patch.object(
+        os, "sched_getaffinity", return_value=set(range(count)), create=True
+    ), mock.patch.object(pla.simulate, "_RANGE_FLOOR", 1):
+        yield
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.integers(0, 2**32),
+    st.sampled_from(["single-vars", "one-block"]),
+    st.sampled_from(pla.core.MODES),
+)
+def test_the_estimate_does_not_depend_on_the_cpu_count(
+    cpus, iterations, seed, scenario, mode
+):
+    s = spec(scenario=scenario, count=2, mode=mode)
+    serial = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=seed))
+    with _cpus(cpus), mock.patch.object(os, "fork", wraps=os.fork) as fork:
         got = type_one_error(
-            s, MonteCarloSpec(iterations=iterations, master_seed=2, workers=workers)
+            s, MonteCarloSpec(iterations=iterations, master_seed=seed, workers=4)
         )
-        assert got == seq
+    assert got == serial
+    assert fork.call_count == (min(cpus, iterations) - 1) * PINNED
+    _no_children_left()
 
-    def test_pool_size_is_clamped(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-        monkeypatch.setattr(_InlinePool, "sizes", [])
-        s = spec(n_sample=200)
-        type_one_error(s, MonteCarloSpec(iterations=5, master_seed=2, workers=8))
-        type_one_error(s, MonteCarloSpec(iterations=2, master_seed=2, workers=8))
-        assert _InlinePool.sizes == [3, 2]
+
+class TestForkedRanges:
+    def test_an_exception_in_a_forked_range_reaches_the_caller(self, monkeypatch):
+        run_iteration = pla.simulate._run_iteration
+
+        def failing(spec, master_seed, s):
+            if s == 4:  # in the first child's range, 3 to 6
+                raise _Planted(s)
+            return run_iteration(spec, master_seed, s)
+
+        monkeypatch.setattr(pla.simulate, "_run_iteration", failing)
+        with _cpus(3), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                pytest.raises(_Planted):
+            type_one_error(spec(), MonteCarloSpec(iterations=9, workers=3))
+        assert fork.call_count == 2 * PINNED
+        _no_children_left()
+
+    def test_a_range_whose_child_failed_runs_again_here(self, monkeypatch):
+        parent, run_iteration = os.getpid(), pla.simulate._run_iteration
+
+        def failing_in_children(*args):
+            if os.getpid() != parent:
+                raise _Planted
+            return run_iteration(*args)
+
+        serial = type_one_error(spec(), MonteCarloSpec(iterations=9, master_seed=4))
+        monkeypatch.setattr(pla.simulate, "_run_iteration", failing_in_children)
+        with _cpus(3):
+            got = type_one_error(
+                spec(), MonteCarloSpec(iterations=9, master_seed=4, workers=3)
+            )
+        assert got == serial
+        _no_children_left()
 
 
 class TestTypeOneError:
