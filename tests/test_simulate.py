@@ -239,6 +239,58 @@ def test_the_estimate_does_not_depend_on_the_cpu_count(
     _no_children_left()
 
 
+@contextlib.contextmanager
+def _blas_pinned():
+    """Stands in for one_blas_thread where BLAS could be pinned."""
+    yield True
+
+
+def _no_fork():
+    raise AssertionError("no process should be forked")
+
+
+class TestWorkerCount:
+    @pytest.fixture(autouse=True)
+    def _every_iteration_may_fork(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_pinned)
+        monkeypatch.setattr(pla.simulate, "_RANGE_FLOOR", 1)
+        monkeypatch.setattr(pla._fork, "_CPU_MAX", tmp_path / "cpu.max")  # no quota
+
+    @pytest.mark.parametrize(
+        "cpus, workers, iterations", [(1, 4, 3), (8, 4, 1), (None, 2, 3)]
+    )
+    def test_single_effective_worker_starts_no_pool(
+        self, monkeypatch, cpus, workers, iterations
+    ):
+        if cpus is None:  # the CPU set is unknown
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+            )
+        s = spec(n_sample=200)
+        seq = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=2))
+        monkeypatch.setattr(os, "fork", _no_fork)
+        got = type_one_error(
+            s, MonteCarloSpec(iterations=iterations, master_seed=2, workers=workers)
+        )
+        assert got == seq
+
+    def test_pool_size_is_clamped(self, monkeypatch):
+        sizes = []
+
+        def inline_fork_map(fn, tasks):  # records the process count, runs in-process
+            sizes.append(len(tasks))
+            return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(pla.simulate, "fork_map", inline_fork_map)
+        s = spec(n_sample=200)
+        type_one_error(s, MonteCarloSpec(iterations=5, master_seed=2, workers=8))
+        type_one_error(s, MonteCarloSpec(iterations=2, master_seed=2, workers=8))
+        assert sizes == [3, 2]
+
+
 class TestForkedRanges:
     def test_an_exception_in_a_forked_range_reaches_the_caller(self, monkeypatch):
         run_iteration = pla.simulate._run_iteration
