@@ -9,19 +9,29 @@ from pathlib import Path
 
 import numpy as np
 
-_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2 quota, as a container sees it
+_CGROUP_ROOT = Path("/sys/fs/cgroup")  # where cgroup v2 is mounted
+_OWN_CGROUP = Path("/proc/self/cgroup")  # "0::/path" names this process's v2 cgroup
+_MAPS = Path("/proc/self/maps")
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on, capped by a cgroup v2 quota; 1 if unknown."""
+    """The CPUs this process may run on, capped by the cgroup v2 quota of its
+    cgroup and of each ancestor; 1 if unknown."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     cpus = len(os.sched_getaffinity(0))
     try:
-        quota, period = _CPU_MAX.read_text().split()
-        return max(1, min(cpus, math.ceil(int(quota) / int(period))))
-    except (OSError, ValueError):  # no file, or "max": no quota
-        return cpus
+        lines = _OWN_CGROUP.read_text().splitlines()
+    except OSError:
+        lines = []
+    own = Path(next((line[3:] for line in lines if line.startswith("0::")), "").strip("/"))
+    for group in (own, *own.parents):  # the last is ".", the root
+        try:
+            quota, period = (_CGROUP_ROOT / group / "cpu.max").read_text().split()
+            cpus = min(cpus, math.ceil(int(quota) / int(period)))
+        except (OSError, ValueError):  # no file, or "max": no quota
+            pass
+    return max(1, cpus)
 
 
 def fork_map(fn, tasks: list) -> list:
@@ -69,25 +79,49 @@ def fork_map(fn, tasks: list) -> list:
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """OpenBLAS on one thread, which forked children inherit; yields False if not found."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        libs = []
-    # numpy's wheels carry scipy-openblas; a system OpenBLAS has the plain names
-    names = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-             "openblas_{}_num_threads")
-    found = [(getattr(lib, n.format("get")), getattr(lib, n.format("set")))
-             for lib in map(ctypes.CDLL, libs) for n in names if hasattr(lib, n.format("set"))]
-    if not found:
+    """OpenBLAS on one thread, which forked children inherit.
+
+    Yields False, and changes nothing, where OpenBLAS is not found or another
+    thread runs: the setting is the whole process's, and ``fork_map`` would
+    not fork beside that thread anyway.
+    """
+    found = _blas_threads() if threading.active_count() == 1 else None
+    if found is None:
         yield False
         return
-    get, set_ = found[0]
-    get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+    get, set_ = found
     before = get()
     set_(1)
     try:
         yield True
     finally:
         set_(before)
+
+
+def _blas_threads():
+    """OpenBLAS's thread-count getter and setter, or None if not found."""
+    try:
+        with _MAPS.open(encoding="utf-8") as fh:
+            # the path is the sixth field and may hold spaces
+            paths = {fields[5].rstrip("\n") for fields in (line.split(maxsplit=5) for line in fh)
+                     if len(fields) == 6 and "openblas" in fields[5].lower()}
+    except OSError:
+        return None
+    # numpy's wheels carry scipy-openblas; a system OpenBLAS has the plain names
+    names = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+             "openblas_{}_num_threads")
+    for path in sorted(paths):
+        if path.endswith(" (deleted)"):  # the file was replaced since it was mapped
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in names:
+            try:
+                get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            except AttributeError:
+                continue
+            get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+            return get, set_
+    return None

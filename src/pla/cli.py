@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from . import __version__
-from ._fork import usable_cpus
 from .core import MODES, PlaConfig, discard, run_pla
 from .dispersion import DispersionMatrix
 from .errors import ConfigError, DataError, NumericalError, ParseError
@@ -231,7 +230,8 @@ def _cmd_simulate(args) -> int:
     spec = ScenarioSpec(m_total=args.M, scenario=args.scenario, count=args.count,
                         n_sample=args.N, tau=args.tau, mode=args.mode,
                         epsilon_scale=args.epsilon_scale)
-    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=usable_cpus())
+    # no cap of its own: type_one_error caps the processes by the usable CPUs
+    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=args.S)
     est = type_one_error(spec, mc)
     payload = {
         "scenario": args.scenario, "M": args.M, "k_or_kappa": args.count,
@@ -246,7 +246,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
-    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=usable_cpus())
+    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=args.S)
     # Validates every cell and runs none, so an invalid grid touches no file.
     rows = reproduce_table(args.table, mc, m_values=args.M, count_values=args.count,
                            n_values=args.N, taus=args.tau)

@@ -271,7 +271,8 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
     usable CPUs, with at least ``_RANGE_FLOOR`` iterations each; the first
     runs here and each other in a forked child (``_fork.fork_map``).  A
     range whose child failed runs again here, so its exception reaches the
-    caller.  Where BLAS cannot be pinned, one process runs them all.
+    caller.  Where BLAS cannot be pinned (no OpenBLAS found, or another
+    thread runs), one process runs them all.
     """
     def run(span):  # (success, numerical failure) rows
         rows = [_run_iteration(spec, mc.master_seed, s) for s in range(*span)]

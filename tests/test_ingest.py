@@ -2,6 +2,7 @@ import contextlib
 import os
 import signal
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pla._fork
 import pla.ingest
 from pla import (
     DataMatrix,
@@ -223,13 +225,18 @@ def test_load_csv_matches_the_row_reader(tmp_path_factory, case, has_header, na_
     _matches_the_row_reader(path, case, has_header, na_policy)
 
 
+def _no_quota():
+    """No cgroup CPU quota, whatever the host sets: the directory cannot exist."""
+    return mock.patch.object(pla._fork, "_CGROUP_ROOT", Path(os.devnull, "cgroup"))
+
+
 @contextlib.contextmanager
 def _split(cpus=3):
     """Cut every body of ``cpus`` or more bytes into ``cpus`` spans."""
     assert threading.active_count() == 1, "a body is split only in a lone thread"
     with mock.patch.object(pla.ingest, "_SPAN_FLOOR", 1), mock.patch.object(
         os, "sched_getaffinity", return_value=set(range(cpus)), create=True
-    ):
+    ), _no_quota():
         yield
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ingest import _no_children_left
+from test_ingest import _no_children_left, _no_quota
 
 import pla._fork
 import pla.core
@@ -213,7 +213,7 @@ def _cpus(count):
     """``count`` usable CPUs, and a process for every iteration they allow."""
     with mock.patch.object(
         os, "sched_getaffinity", return_value=set(range(count)), create=True
-    ), mock.patch.object(pla.simulate, "_RANGE_FLOOR", 1):
+    ), mock.patch.object(pla.simulate, "_RANGE_FLOOR", 1), _no_quota():
         yield
 
 
@@ -254,7 +254,7 @@ class TestWorkerCount:
     def _every_iteration_may_fork(self, monkeypatch, tmp_path):
         monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_pinned)
         monkeypatch.setattr(pla.simulate, "_RANGE_FLOOR", 1)
-        monkeypatch.setattr(pla._fork, "_CPU_MAX", tmp_path / "cpu.max")  # no quota
+        monkeypatch.setattr(pla._fork, "_CGROUP_ROOT", tmp_path)  # no quota
 
     @pytest.mark.parametrize(
         "cpus, workers, iterations", [(1, 4, 3), (8, 4, 1), (None, 2, 3)]
