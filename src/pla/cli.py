@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -288,16 +290,27 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Without ``argv`` this is a process entry (``pla``, ``python -m pla.cli``),
+    so the heap built by the imports is frozen: the collector no longer walks
+    it, at exit either.  An in-process call with ``argv`` freezes nothing, so
+    its caller's cyclic garbage is still collected.
+    """
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        return _report_error(EXIT_USAGE, exc)
-    except (DataError, OSError, UnicodeDecodeError) as exc:
-        return _report_error(EXIT_DATA, exc)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        return _report_error(EXIT_NUMERICAL, exc)
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: _warn(str(message))
+        try:
+            args = parser.parse_args(argv)
+            return _COMMANDS[args.command](args)
+        except ConfigError as exc:
+            return _report_error(EXIT_USAGE, exc)
+        except (DataError, OSError, UnicodeDecodeError) as exc:
+            return _report_error(EXIT_DATA, exc)
+        except (NumericalError, np.linalg.LinAlgError) as exc:
+            return _report_error(EXIT_NUMERICAL, exc)
 
 
 if __name__ == "__main__":

@@ -43,8 +43,10 @@ def eigengap_bound(base: DispersionMatrix, delta, tau: float) -> BoundDiagnostic
     |lambda_i - lambda_j| (infinite for a 1 x 1 matrix), the perturbation
     of eigenvector j is at most 2^{3/2} ||delta||_F / g_j in the 2-norm
     (Yu, Wang & Samworth 2015), hence in the sup-norm.
-    ``implies_below_tau[j]`` is True when that bound is below tau; False
-    asserts nothing (one-sided check).
+    ``implies_below_tau[j]`` is True when that bound plus the eigensolver's
+    own rounding, 2^{3/2} 2 eta / g_j with eta = M eps ||base||_2, is below
+    tau; False asserts nothing (one-sided check).  The rounding term is left
+    out of ``bounds``.
     """
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"tau must lie in (0, 1), got {tau}")
@@ -65,11 +67,17 @@ def eigengap_bound(base: DispersionMatrix, delta, tau: float) -> BoundDiagnostic
         if np.abs(delta - delta.T).max(initial=0.0) > SYMMETRY_TOL * scale:
             raise SymmetryError("perturbation is not symmetric")
         fro = float(np.linalg.norm(delta, "fro"))
-        bounds = 2.0 ** 1.5 * fro / gaps
-    bounds = np.where(gaps == 0.0, np.inf, bounds)
+        bounds = np.where(gaps == 0.0, np.inf, 2.0 ** 1.5 * fro / gaps)
+        # A computed eigenvector is exact only for a matrix within eta of the
+        # one solved (LAPACK Users' Guide, section 4.7), so those of base and
+        # base + delta may differ as if delta were 2 * eta larger.
+        eta = lam.size * np.finfo(float).eps * np.abs(lam).max()
+        certified = bounds + 2.0 ** 1.5 * 2.0 * eta / gaps < tau
     # delta.any(), not fro > 0: the norm underflows to 0 for tiny entries.
-    bounds = np.where(delta.any(), bounds, 0.0)
-    return BoundDiagnostic(fro, gaps, bounds, bounds < tau)
+    # A zero delta leaves base as it was, so the solver returns the same vectors.
+    if not delta.any():
+        bounds, certified = np.zeros_like(bounds), np.ones_like(certified)
+    return BoundDiagnostic(fro, gaps, bounds, certified)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -50,10 +52,14 @@ TABLE_COLUMNS = ("M", "k_or_kappa", "N", "tau", "rate", "ci_low", "ci_high", "S"
 # Uniform ranges of the one-factor loadings of the core and the planted block.
 CORE_LOADING_RANGE = (0.32, 0.8)
 PLANTED_LOADING_RANGE = (0.79, 0.81)
-# Iterations per process, at least.  An extra process cost about 3.5 ms on a
-# 2-vCPU host (fork, pipe, and the wait for the child's exit), about seven
-# iterations at the smallest table size, M=20; from 16 on, forking paid.
-_RANGE_FLOOR = 16
+# Work per process, at least, in iterations times M: a range holds at least
+# ceil(_RANGE_WORK / M) iterations.  An extra process cost about 3.5 ms on a
+# 2-vCPU host (fork, pipe, and the wait for the child's exit), seven
+# iterations at M=20, where forking paid from 16 on.  An iteration's cost
+# grows faster than M (0.41, 2.55 and 8.4 ms at M = 20, 100, 200), so every
+# range holds about twice a fork's cost or more: 16 iterations at M=20, 2 at
+# M=200.
+_RANGE_WORK = 16 * 20
 
 
 @dataclass(frozen=True)
@@ -268,19 +274,24 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
     seeds are derived from the master seed, and BLAS runs on one thread, so
     the estimate does not depend on the process count.  ``range(S)`` is cut
     into one contiguous range per process, at most ``workers`` and the
-    usable CPUs, with at least ``_RANGE_FLOOR`` iterations each; the first
-    runs here and each other in a forked child (``_fork.fork_map``).  A
+    usable CPUs, with at least ceil(``_RANGE_WORK`` / M) iterations each; the
+    first runs here and each other in a forked child (``_fork.fork_map``).  A
     range whose child failed runs again here, so its exception reaches the
     caller.  Where BLAS cannot be pinned (no OpenBLAS found, or another
-    thread runs), one process runs them all.
+    thread runs), one process runs them all; for want of OpenBLAS, a
+    ``RuntimeWarning`` says so when more than one would have run.
     """
     def run(span):  # (success, numerical failure) rows
         rows = [_run_iteration(spec, mc.master_seed, s) for s in range(*span)]
         return np.array(rows, dtype=float).reshape(-1, 2)
 
+    floor = math.ceil(_RANGE_WORK / spec.m_total)
     with one_blas_thread() as pinned:
-        fit = min(mc.workers, usable_cpus(), mc.iterations // _RANGE_FLOOR)
-        processes = max(1, fit) if pinned else 1
+        fit = max(1, min(mc.workers, usable_cpus(), mc.iterations // floor))
+        if fit > 1 and not pinned and threading.active_count() == 1:
+            warnings.warn("found no OpenBLAS whose thread count can be set, so the "
+                          "Monte Carlo runs in one process", RuntimeWarning, stacklevel=2)
+        processes = fit if pinned else 1
         cuts = [mc.iterations * i // processes for i in range(processes + 1)]
         spans = list(zip(cuts, cuts[1:]))
         parts = fork_map(run, spans)

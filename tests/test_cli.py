@@ -1,9 +1,11 @@
 import csv
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ import pla.simulate
 from pla import (DataMatrix, ErrorEstimate, MonteCarloSpec, load_csv, reproduce_table,
                  write_csv)
 from pla.cli import main
+from test_ingest import _no_children_left
+from test_simulate import _blas_pinned, _blas_unpinned, _cpus
 from pla.errors import (
     ConfigError,
     ConsistencyError,
@@ -290,6 +294,10 @@ class TestSensitivity:
         assert err == {"code": 2, "message": "variable index 2 out of range for size 2"}
 
 
+SIMULATE_M8 = ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
+               "--N", "500", "--tau", "0.4", "--S", "4"]
+
+
 class TestSimulate:
     def test_small_run(self, capsys):
         code = main(
@@ -329,6 +337,22 @@ class TestSimulate:
         err = captured.err.splitlines()
         assert len(err) == 1
         assert "3 of 3 iterations failed numerically" in json.loads(err[0])["warning"]
+
+    def test_a_blas_fallback_warns_in_one_json_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_unpinned)
+        with _cpus(2), warnings.catch_warnings():
+            warnings.simplefilter("default")  # as in a pla process; pytest raises them
+            assert main(SIMULATE_M8) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "runs in one process" in json.loads(err[0])["warning"]
+
+    def test_a_pinned_run_on_two_cpus_prints_nothing_on_stderr(self, monkeypatch, capsys):
+        monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_pinned)
+        with _cpus(2):
+            assert main(SIMULATE_M8) == 0
+        assert capsys.readouterr().err == ""
+        _no_children_left()
 
     def test_invalid_geometry_data_error(self, capsys):
         code = main(
@@ -435,6 +459,25 @@ class TestReproduceTable:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("M,k_or_kappa,N,tau")
+
+
+class TestProcessEntry:
+    def test_an_in_process_call_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(SIMULATE_M8) == 0
+        assert gc.get_freeze_count() == before
+        capsys.readouterr()
+
+    def test_a_call_that_reads_sys_argv_freezes_the_heap(self, monkeypatch, capsys):
+        # how `pla` and `python -m pla.cli` call it
+        monkeypatch.setattr(sys, "argv", ["pla", *SIMULATE_M8])
+        before = gc.get_freeze_count()
+        try:
+            assert main() == 0
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
+        capsys.readouterr()
 
 
 def test_import_starts_no_process_machinery():

@@ -72,7 +72,7 @@ def test_both_fork_sites_get_the_capped_count(tmp_path, cgroup, four_cpus):
     data.write_text("a,b\n1,2\n3,4\n5,6\n7,8\n")
     spec = ScenarioSpec(m_total=6, scenario="single-vars", count=1, n_sample=200, tau=0.4)
     with mock.patch.object(pla.ingest, "_SPAN_FLOOR", 1), \
-            mock.patch.object(pla.simulate, "_RANGE_FLOOR", 1), \
+            mock.patch.object(pla.simulate, "_RANGE_WORK", 1), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
         np.testing.assert_array_equal(load_csv(data).values, [[1, 2], [3, 4], [5, 6], [7, 8]])
         assert fork.call_count == 1

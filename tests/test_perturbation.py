@@ -85,6 +85,19 @@ class TestEigengapBound:
         assert np.flatnonzero(diag.eigengaps).tolist() == [top]
         assert np.flatnonzero(diag.implies_below_tau).tolist() == [top]
 
+    @pytest.mark.parametrize("size", [3, 4, 5, 6])
+    def test_the_solver_rounding_voids_a_near_tie_certificate(self, size):
+        # 0.1 + 3.6e-15 is an eigenvalue 3.6e-15 from the others: the bound
+        # for a 1e-20 delta is about 3e-5, yet eigh moves its eigenvector by
+        # about 1e-3, which is its own rounding, not the perturbation
+        base = 0.1 * np.eye(size)
+        base[1, 1] += 3.6e-15
+        delta = np.full((size, size), 1e-20)
+        moved = measured_sup_change(base, delta)[1]
+        diag = eigengap_bound(DispersionMatrix(base, "covariance"), delta, tau=moved)
+        assert diag.bounds[1] < moved  # the printed bound alone would certify it
+        assert not diag.implies_below_tau.any()
+
     def test_implication_never_violated(self):
         # whenever the bound certifies, the measured sup-norm change stays
         # below tau; randomized over many matrices and perturbation scales

@@ -1,5 +1,6 @@
 import contextlib
 import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -213,7 +214,7 @@ def _cpus(count):
     """``count`` usable CPUs, and a process for every iteration they allow."""
     with mock.patch.object(
         os, "sched_getaffinity", return_value=set(range(count)), create=True
-    ), mock.patch.object(pla.simulate, "_RANGE_FLOOR", 1), _no_quota():
+    ), mock.patch.object(pla.simulate, "_RANGE_WORK", 1), _no_quota():
         yield
 
 
@@ -253,7 +254,7 @@ class TestWorkerCount:
     @pytest.fixture(autouse=True)
     def _every_iteration_may_fork(self, monkeypatch, tmp_path):
         monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_pinned)
-        monkeypatch.setattr(pla.simulate, "_RANGE_FLOOR", 1)
+        monkeypatch.setattr(pla.simulate, "_RANGE_WORK", 1)
         monkeypatch.setattr(pla._fork, "_CGROUP_ROOT", tmp_path)  # no quota
 
     @pytest.mark.parametrize(
@@ -289,6 +290,61 @@ class TestWorkerCount:
         type_one_error(s, MonteCarloSpec(iterations=5, master_seed=2, workers=8))
         type_one_error(s, MonteCarloSpec(iterations=2, master_seed=2, workers=8))
         assert sizes == [3, 2]
+
+
+@contextlib.contextmanager
+def _blas_unpinned():
+    """Stands in for one_blas_thread where no settable OpenBLAS was found."""
+    yield False
+
+
+class TestRangeFloor:
+    """A range holds at least ceil(_RANGE_WORK / M) iterations."""
+
+    @pytest.mark.parametrize(
+        "m, iterations, forks", [(200, 10, 1), (20, 10, 0), (20, 31, 0), (20, 32, 1)]
+    )
+    def test_the_floor_shrinks_as_m_grows(self, monkeypatch, m, iterations, forks):
+        s = spec(m_total=m, n_sample=500)
+        serial = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=6))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with _no_quota(), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            got = type_one_error(
+                s, MonteCarloSpec(iterations=iterations, master_seed=6, workers=iterations)
+            )
+        assert got == serial
+        assert fork.call_count == forks * PINNED
+        _no_children_left()
+
+
+class TestBlasFallback:
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self):
+        with _cpus(2):
+            yield
+
+    def test_a_run_that_cannot_pin_blas_warns(self, monkeypatch):
+        monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_unpinned)
+        serial = type_one_error(spec(), MonteCarloSpec(iterations=4, master_seed=7))
+        monkeypatch.setattr(os, "fork", _no_fork)
+        with pytest.warns(RuntimeWarning, match="runs in one process"):
+            got = type_one_error(spec(), MonteCarloSpec(iterations=4, master_seed=7, workers=4))
+        assert got == serial
+
+    def test_beside_another_thread_the_fallback_is_silent(self):
+        errors = []
+
+        def run():
+            try:
+                type_one_error(spec(), MonteCarloSpec(iterations=4, master_seed=7, workers=4))
+            except Warning as exc:  # pytest turns any warning into an error
+                errors.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert errors == []
 
 
 class TestForkedRanges:
