@@ -34,6 +34,12 @@ def usable_cpus() -> int:
     return max(1, cpus)
 
 
+def even_cuts(work: int, floor: int) -> list[int]:
+    """Cut points 0 to ``work``: even pieces, one per usable CPU, at most ``work // floor``."""
+    pieces = max(1, min(usable_cpus(), work // floor))
+    return [work * i // pieces for i in range(pieces + 1)]
+
+
 def fork_map(fn, tasks: list) -> list:
     """``fn(task)`` for each task, in order, each a float64 array.
 

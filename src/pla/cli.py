@@ -18,13 +18,13 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .core import MODES, PlaConfig, discard, run_pla
-from .dispersion import DispersionMatrix
+from .core import EV_FORMULAS, MODES, PlaConfig, discard, run_pla
+from .dispersion import KINDS, DispersionMatrix
 from .errors import ConfigError, DataError, NumericalError, ParseError
-from .ingest import _read_rows, load_csv, write_csv
+from .ingest import NA_POLICIES, _read_rows, load_csv, write_csv
 from .perturbation import eigengap_bound, variance_sensitivity
-from .simulate import (TABLE_COLUMNS, MonteCarloSpec, ScenarioSpec, reproduce_table,
-                       type_one_error)
+from .simulate import (SCENARIOS, TABLE_COLUMNS, TABLE_GRIDS, MonteCarloSpec, ScenarioSpec,
+                       reproduce_table, type_one_error)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,7 +33,8 @@ EXIT_NUMERICAL = 4
 
 
 def _report_error(code: int, message) -> int:
-    print(json.dumps({"code": code, "message": str(message)}), file=sys.stderr)
+    # an exception without text, such as a bare MemoryError, is named instead
+    print(json.dumps({"code": code, "message": str(message) or repr(message)}), file=sys.stderr)
     return code
 
 
@@ -98,17 +99,17 @@ def _warn_numerical(cell: dict) -> None:
 
 
 def _pla_flags(sub) -> None:
-    sub.add_argument("--mode", default="correlation-rescaled", choices=MODES)
-    sub.add_argument("--tau", type=float, default=0.6)
-    sub.add_argument("--ev-cutoff", type=float, default=0.05)
-    sub.add_argument("--ev-formula", default="exact", choices=["exact", "approx"])
+    sub.add_argument("--mode", default=PlaConfig.mode, choices=MODES)
+    sub.add_argument("--tau", type=float, default=PlaConfig.tau)
+    sub.add_argument("--ev-cutoff", type=float, default=PlaConfig.ev_cutoff)
+    sub.add_argument("--ev-formula", default=PlaConfig.ev_formula, choices=EV_FORMULAS)
 
 
 def _input_flags(sub) -> None:
     sub.add_argument("--input", required=True, help="input CSV dataset")
     sub.add_argument("--delimiter", default=",")
     sub.add_argument("--no-header", action="store_true")
-    sub.add_argument("--na-policy", default="fail", choices=["fail", "drop-row"])
+    sub.add_argument("--na-policy", default="fail", choices=NA_POLICIES)
 
 
 def build_parser() -> _Parser:
@@ -129,7 +130,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("bound", help="eigengap perturbation bound diagnostic")
     p.add_argument("--matrix", required=True, help="CSV of the symmetric base matrix")
-    p.add_argument("--kind", default="covariance", choices=["covariance", "correlation"])
+    p.add_argument("--kind", default="covariance", choices=KINDS)
     p.add_argument("--delta", required=True, help="CSV of the symmetric perturbation")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--out")
@@ -144,26 +145,26 @@ def build_parser() -> _Parser:
     p.add_argument("--format", default="json", choices=["json", "text"])
 
     p = subs.add_parser("simulate", help="Type-I-error Monte Carlo for one scenario")
-    p.add_argument("--scenario", required=True, choices=["single-vars", "one-block"])
+    p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--k", "--kappa", dest="count", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--S", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", default="correlation-rescaled", choices=MODES)
-    p.add_argument("--epsilon-scale", type=float, default=0.0)
+    p.add_argument("--seed", type=int, default=MonteCarloSpec.master_seed)
+    p.add_argument("--mode", default=ScenarioSpec.mode, choices=MODES)
+    p.add_argument("--epsilon-scale", type=float, default=ScenarioSpec.epsilon_scale)
     p.add_argument("--out")
     p.add_argument("--format", default="json", choices=["json", "text"])
 
     p = subs.add_parser("reproduce-table", help="Type-I-error grid as CSV")
-    p.add_argument("--table", required=True, choices=["I", "II"])
+    p.add_argument("--table", required=True, choices=tuple(TABLE_GRIDS))
     p.add_argument("--M", type=int, action="append")
     p.add_argument("--k", "--kappa", dest="count", type=int, action="append")
     p.add_argument("--N", type=int, action="append")
     p.add_argument("--tau", type=float, action="append")
     p.add_argument("--S", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=MonteCarloSpec.master_seed)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.add_argument("--manifest", help="optional JSON run-manifest path")
     return parser
@@ -232,8 +233,7 @@ def _cmd_simulate(args) -> int:
     spec = ScenarioSpec(m_total=args.M, scenario=args.scenario, count=args.count,
                         n_sample=args.N, tau=args.tau, mode=args.mode,
                         epsilon_scale=args.epsilon_scale)
-    # no cap of its own: type_one_error caps the processes by the usable CPUs
-    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=args.S)
+    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed)
     est = type_one_error(spec, mc)
     payload = {
         "scenario": args.scenario, "M": args.M, "k_or_kappa": args.count,
@@ -248,7 +248,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
-    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed, workers=args.S)
+    mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed)
     # Validates every cell and runs none, so an invalid grid touches no file.
     rows = reproduce_table(args.table, mc, m_values=args.M, count_values=args.count,
                            n_values=args.N, taus=args.tau)
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command](args)
         except ConfigError as exc:
             return _report_error(EXIT_USAGE, exc)
-        except (DataError, OSError, UnicodeDecodeError) as exc:
+        except (DataError, OSError, UnicodeDecodeError, MemoryError) as exc:
             return _report_error(EXIT_DATA, exc)
         except (NumericalError, np.linalg.LinAlgError) as exc:
             return _report_error(EXIT_NUMERICAL, exc)

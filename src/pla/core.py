@@ -47,6 +47,13 @@ MODES = (
     "covariance-rescaled",
     "correlation-rescaled",
 )
+EV_FORMULAS = ("exact", "approx")
+
+
+def check_tau(tau: float) -> None:
+    """Raise ConfigError unless 0 < tau < 1 (nan and inf included)."""
+    if not 0.0 < tau < 1.0:
+        raise ConfigError(f"tau must lie in (0, 1), got {tau}")
 
 
 @dataclass(frozen=True)
@@ -65,13 +72,12 @@ class PlaConfig:
     ev_formula: str = "exact"
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
+        check_tau(self.tau)
         if not 0.0 <= self.ev_cutoff < 1.0:
             raise ConfigError(f"ev_cutoff must lie in [0, 1), got {self.ev_cutoff}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.ev_formula not in ("exact", "approx"):
+        if self.ev_formula not in EV_FORMULAS:
             raise ConfigError(f"unknown ev_formula {self.ev_formula!r}")
 
 
@@ -155,8 +161,7 @@ def detect_blocks(loadings: np.ndarray, tau: float) -> BlockPartition:
     loadings = np.asarray(loadings, dtype=float)
     if loadings.ndim != 2 or loadings.shape[0] != loadings.shape[1]:
         raise DimensionError(f"loadings must be square, got {loadings.shape}")
-    if not 0.0 < tau < 1.0:
-        raise ConfigError(f"tau must lie in (0, 1), got {tau}")
+    check_tau(tau)
 
     m = loadings.shape[0]
     adjacency = np.abs(loadings) > tau  # [variable, eigenvector]

@@ -27,6 +27,7 @@ SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 UNIT_DIAG_TOL = 1e-12
 EIGENVALUE_TIE_TOL = 1e-8
+KINDS = ("covariance", "correlation")
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class DispersionMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or not 0 < entries.shape[0] == entries.shape[1]:
             raise DimensionError(f"need a non-empty square matrix, got {entries.shape}")
-        if self.kind not in ("covariance", "correlation"):
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown dispersion kind {self.kind!r}")
         if not np.all(np.isfinite(entries)):
             raise NumericalError(f"{self.kind} matrix has non-finite entries")

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import fork_map, usable_cpus
+from ._fork import even_cuts, fork_map
 from .errors import ConfigError, DimensionError, ParseError
 
 __all__ = ["DataMatrix", "load_csv", "write_csv"]
 
 _SPAN_FLOOR = 1 << 20  # bytes; a smaller span saves less than a fork and a pipe cost
+NA_POLICIES = ("fail", "drop-row")
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def load_csv(
     alone cites lines in errors and drops non-numeric rows under
     ``drop-row``.  Rows that are not finite are dropped after either reader.
     """
-    if na_policy not in ("fail", "drop-row"):
+    if na_policy not in NA_POLICIES:
         raise ConfigError(f"unknown na_policy {na_policy!r}")
     if len(delimiter) != 1:
         raise ConfigError(f"delimiter must be one character, got {delimiter!r}")
@@ -124,10 +125,9 @@ def _load_body(path: Path, delimiter: str, has_header: bool):
 def _cuts(fh) -> list[int]:
     """Offsets cutting the body, from ``fh``'s position on, just after newlines."""
     start, size = fh.tell(), fh.seek(0, os.SEEK_END)
-    spans = min(usable_cpus(), (size - start) // _SPAN_FLOOR)
     cuts = [start]
-    for i in range(1, spans):
-        fh.seek(start + (size - start) * i // spans - 1)
+    for even in even_cuts(size - start, _SPAN_FLOOR)[1:-1]:
+        fh.seek(start + even - 1)
         cut = fh.tell() + len(fh.readline())
         if cuts[-1] < cut < size:  # else one line, or a body without LF, holds two cuts
             cuts.append(cut)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_tau
 from .dispersion import SYMMETRY_TOL, DispersionMatrix
 from .errors import ConfigError, SymmetryError
 
@@ -48,8 +49,7 @@ def eigengap_bound(base: DispersionMatrix, delta, tau: float) -> BoundDiagnostic
     tau; False asserts nothing (one-sided check).  The rounding term is left
     out of ``bounds``.
     """
-    if not 0.0 < tau < 1.0:
-        raise ConfigError(f"tau must lie in (0, 1), got {tau}")
+    check_tau(tau)
     delta = np.asarray(delta, dtype=float)
     if delta.shape != base.entries.shape:
         raise SymmetryError(

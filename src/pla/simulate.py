@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import fork_map, one_blas_thread, usable_cpus
-from .core import MODES, _detect
+from ._fork import even_cuts, fork_map, one_blas_thread
+from .core import MODES, _detect, check_tau
 from .dispersion import DispersionMatrix, correlation_from_covariance
 from .errors import ConfigError, DimensionError, FactorizationError, PlaError
 
@@ -39,6 +39,7 @@ __all__ = [
     "reproduce_table",
 ]
 
+SCENARIOS = ("single-vars", "one-block")
 # Reference-table grids: (scenario, plant sizes, thresholds).
 TABLE_GRIDS = {
     "I": ("single-vars", (1, 2, 3, 4, 5), (0.4, 0.5, 0.6, 0.7)),
@@ -82,26 +83,18 @@ class ScenarioSpec:
     epsilon_scale: float = 0.0
 
     def __post_init__(self):
-        if self.scenario not in ("single-vars", "one-block"):
+        if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.scenario == "single-vars":
-            if self.count < 1 or self.m_total - self.count < 2:
-                raise DimensionError(
-                    f"single-vars needs k >= 1 and M - k >= 2, got "
-                    f"M={self.m_total}, k={self.count}"
-                )
-        else:
-            if not 2 <= self.count <= self.m_total - 2:
-                raise DimensionError(
-                    f"one-block needs 2 <= kappa <= M - 2, got "
-                    f"M={self.m_total}, kappa={self.count}"
-                )
+        # the plant leaves a core of at least 2 variables; a block has 2 or more
+        low, name = (1, "k") if self.scenario == "single-vars" else (2, "kappa")
+        if not low <= self.count <= self.m_total - 2:
+            raise ConfigError(f"{self.scenario} needs {low} <= {name} <= M - 2, got "
+                              f"M={self.m_total}, {name}={self.count}")
         if self.n_sample < 2:
-            raise DimensionError(f"n_sample must be >= 2, got {self.n_sample}")
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError(f"tau must lie in (0, 1), got {self.tau}")
+            raise ConfigError(f"n_sample must be >= 2, got {self.n_sample}")
+        check_tau(self.tau)
         if not 0.0 <= self.epsilon_scale < math.inf:
             raise ConfigError(
                 f"epsilon_scale must be finite and >= 0, got {self.epsilon_scale}"
@@ -110,17 +103,14 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class MonteCarloSpec:
-    """Iterations, master seed, and at most how many processes run them."""
+    """Iterations and the master seed their seeds derive from."""
 
     iterations: int
     master_seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
@@ -273,9 +263,9 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
     the planted variables form exactly one block (one-block).  Per-iteration
     seeds are derived from the master seed, and BLAS runs on one thread, so
     the estimate does not depend on the process count.  ``range(S)`` is cut
-    into one contiguous range per process, at most ``workers`` and the
-    usable CPUs, with at least ceil(``_RANGE_WORK`` / M) iterations each; the
-    first runs here and each other in a forked child (``_fork.fork_map``).  A
+    into one contiguous range per usable CPU, as few as give each at least
+    ceil(``_RANGE_WORK`` / M) iterations (``_fork.even_cuts``); the first
+    runs here and each other in a forked child (``_fork.fork_map``).  A
     range whose child failed runs again here, so its exception reaches the
     caller.  Where BLAS cannot be pinned (no OpenBLAS found, or another
     thread runs), one process runs them all; for want of OpenBLAS, a
@@ -285,14 +275,12 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
         rows = [_run_iteration(spec, mc.master_seed, s) for s in range(*span)]
         return np.array(rows, dtype=float).reshape(-1, 2)
 
-    floor = math.ceil(_RANGE_WORK / spec.m_total)
     with one_blas_thread() as pinned:
-        fit = max(1, min(mc.workers, usable_cpus(), mc.iterations // floor))
-        if fit > 1 and not pinned and threading.active_count() == 1:
+        cuts = even_cuts(mc.iterations, math.ceil(_RANGE_WORK / spec.m_total))
+        if len(cuts) > 2 and not pinned and threading.active_count() == 1:
             warnings.warn("found no OpenBLAS whose thread count can be set, so the "
                           "Monte Carlo runs in one process", RuntimeWarning, stacklevel=2)
-        processes = fit if pinned else 1
-        cuts = [mc.iterations * i // processes for i in range(processes + 1)]
+        cuts = cuts if pinned else [0, mc.iterations]
         spans = list(zip(cuts, cuts[1:]))
         parts = fork_map(run, spans)
         results = np.concatenate(

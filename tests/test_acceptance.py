@@ -5,8 +5,6 @@ them).  The Monte Carlo checks share one module-scoped estimation cache so
 the heavy runs happen once.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,6 @@ from pla import (
 
 MASTER_SEED = 0
 ITERATIONS = 2000
-WORKERS = max(1, min(os.cpu_count() or 1, 8))
 
 
 def _verdict(name: str, ok: bool, detail: str) -> bool:
@@ -40,9 +37,7 @@ def _mc_rate(scenario: str, count: int, n: int, tau: float) -> float:
     spec = ScenarioSpec(
         m_total=20, scenario=scenario, count=count, n_sample=n, tau=tau
     )
-    mc = MonteCarloSpec(
-        iterations=ITERATIONS, master_seed=MASTER_SEED, workers=WORKERS
-    )
+    mc = MonteCarloSpec(iterations=ITERATIONS, master_seed=MASTER_SEED)
     return type_one_error(spec, mc).rate
 
 

@@ -6,13 +6,15 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import pla
 import pla.simulate
-from pla import (DataMatrix, ErrorEstimate, MonteCarloSpec, load_csv, reproduce_table,
+from pla import (DataMatrix, DispersionMatrix, ErrorEstimate, MonteCarloSpec, PlaConfig,
+                 ScenarioSpec, detect_blocks, eigengap_bound, load_csv, reproduce_table,
                  write_csv)
 from pla.cli import main
 from test_ingest import _no_children_left
@@ -137,6 +139,15 @@ class TestAnalyze:
          "--N", "200", "--tau", "0.4", "--S", "1", "--epsilon-scale", "-0.1"],
         ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1",
          "--N", "200", "--tau", "0.4", "--S", "1", "--epsilon-scale", "nan"],
+        ["simulate", "--scenario", "single-vars", "--M", "20", "--k", "0",
+         "--N", "100", "--tau", "0.5", "--S", "2"],
+        ["simulate", "--scenario", "single-vars", "--M", "3", "--k", "2",
+         "--N", "500", "--tau", "0.4", "--S", "1"],
+        ["simulate", "--scenario", "one-block", "--M", "8", "--kappa", "1",
+         "--N", "100", "--tau", "0.5", "--S", "2"],
+        ["simulate", "--scenario", "single-vars", "--M", "20", "--k", "1",
+         "--N", "1", "--tau", "0.5", "--S", "2"],
+        ["reproduce-table", "--table", "I", "--M", "3", "--k", "2", "--N", "100", "--S", "2"],
         *(["bound", "--matrix", "M", "--delta", "M", "--tau", tau]
           for tau in ("nan", "inf", "1.5", "0", "-1")),
         *(["sensitivity", "--matrix", "M", "--variable", "0", "--increments", grid]
@@ -145,7 +156,8 @@ class TestAnalyze:
     ids=["analyze-tau", "analyze-ev-cutoff", "analyze-delimiter", "discard-tau",
          "simulate-S", "simulate-tau", "reproduce-table-S", "reproduce-table-tau",
          "simulate-seed", "reproduce-table-seed", "simulate-epsilon-scale",
-         "simulate-epsilon-scale-nan", "bound-tau-nan", "bound-tau-inf",
+         "simulate-epsilon-scale-nan", "simulate-k", "simulate-M-minus-k", "simulate-kappa",
+         "simulate-N", "reproduce-table-M-minus-k", "bound-tau-nan", "bound-tau-inf",
          "bound-tau-1.5", "bound-tau-0", "bound-tau-negative",
          "sensitivity-increment-nan", "sensitivity-increment-inf"],
 )
@@ -160,6 +172,32 @@ def test_out_of_range_option_is_usage_error(argv, dataset, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["code"] == 2
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, -0.1, float("nan"), float("inf")])
+def test_every_tau_entry_point_gives_one_message(tau, dataset, tmp_path, capsys):
+    message = f"tau must lie in (0, 1), got {tau}"
+    base = DispersionMatrix(np.diag([4.0, 1.0]), "covariance")
+    for call in (
+        lambda: PlaConfig(tau=tau),
+        lambda: ScenarioSpec(m_total=8, scenario="single-vars", count=1, n_sample=200, tau=tau),
+        lambda: detect_blocks(np.eye(3), tau),
+        lambda: eigengap_bound(base, np.zeros((2, 2)), tau),
+    ):
+        with pytest.raises(ConfigError) as info:
+            call()
+        assert str(info.value) == message
+    matrix = write_matrix(tmp_path, "m.csv", base.entries)
+    for argv in (
+        ["analyze", "--input", dataset],
+        ["simulate", "--scenario", "single-vars", "--M", "8", "--k", "1", "--N", "200",
+         "--S", "1"],
+        ["bound", "--matrix", matrix, "--delta", matrix],
+    ):
+        assert main([*argv, "--tau", str(tau)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == json.dumps({"code": 2, "message": message}) + "\n"
 
 
 class TestDiscard:
@@ -354,13 +392,33 @@ class TestSimulate:
         assert capsys.readouterr().err == ""
         _no_children_left()
 
-    def test_invalid_geometry_data_error(self, capsys):
-        code = main(
-            ["simulate", "--scenario", "single-vars", "--M", "3", "--k", "2",
-             "--N", "500", "--tau", "0.4", "--S", "1"]
-        )
-        assert code == 3
-        capsys.readouterr()
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_out_of_memory_is_one_json_line(self, cpus, monkeypatch, capsys):
+        draw = pla.simulate.draw_covariance
+
+        def short_of_memory(pop, n, seed):
+            if seed.entropy[1] == 3:  # iteration 3: on 2 CPUs, in the forked range 2 to 4
+                raise MemoryError("Unable to allocate 8 GiB")
+            return draw(pop, n, seed)
+
+        monkeypatch.setattr(pla.simulate, "draw_covariance", short_of_memory)
+        monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_pinned)
+        with _cpus(cpus), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            code = main(SIMULATE_M8)
+        captured = capsys.readouterr()
+        assert (code, captured.out, fork.call_count) == (3, "", cpus - 1)
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"code": 3, "message": "Unable to allocate 8 GiB"}
+        ]
+        _no_children_left()
+
+    def test_a_bare_memory_error_is_named(self, monkeypatch, capsys):
+        def fail(spec, mc):
+            raise MemoryError
+
+        monkeypatch.setattr(pla.cli, "type_one_error", fail)
+        assert main(SIMULATE_M8) == 3
+        assert json.loads(capsys.readouterr().err) == {"code": 3, "message": "MemoryError()"}
 
 
 class TestReproduceTable:
@@ -404,9 +462,9 @@ class TestReproduceTable:
             ["reproduce-table", "--table", "I", "--M", "3", "--k", "2",
              "--N", "100", "--S", "5", flag, str(path)]
         )
-        assert code == 3
+        assert code == 2
         assert path.read_bytes() == b"precious\n"
-        assert json.loads(capsys.readouterr().err)["code"] == 3
+        assert json.loads(capsys.readouterr().err)["code"] == 2
 
     def test_rows_are_written_as_cells_finish(self, monkeypatch, tmp_path, capsys):
         class Interrupted(Exception):

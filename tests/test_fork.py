@@ -76,7 +76,7 @@ def test_both_fork_sites_get_the_capped_count(tmp_path, cgroup, four_cpus):
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
         np.testing.assert_array_equal(load_csv(data).values, [[1, 2], [3, 4], [5, 6], [7, 8]])
         assert fork.call_count == 1
-        type_one_error(spec, MonteCarloSpec(iterations=8, workers=8))
+        type_one_error(spec, MonteCarloSpec(iterations=8))
         assert fork.call_count == 1 + PINNED
     _no_children_left()
 
@@ -130,7 +130,7 @@ def test_blas_is_pinned_only_in_a_lone_thread(monkeypatch):
         with pla._fork.one_blas_thread() as pinned:
             pins.append(pinned)
             both_running.wait()  # the other run is inside too
-        type_one_error(spec, MonteCarloSpec(iterations=4, workers=4))
+        type_one_error(spec, MonteCarloSpec(iterations=4))
 
     threads = [threading.Thread(target=run) for _ in range(2)]
     for thread in threads:

@@ -42,13 +42,13 @@ def spec(**kw):
 
 class TestScenarioSpec:
     def test_rejects_small_core(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError):
             spec(m_total=3, count=2)
 
     def test_rejects_bad_kappa(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError):
             spec(scenario="one-block", count=1)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError):
             spec(scenario="one-block", count=5)
 
     def test_rejects_unknown_scenario(self):
@@ -230,11 +230,10 @@ def test_the_estimate_does_not_depend_on_the_cpu_count(
     cpus, iterations, seed, scenario, mode
 ):
     s = spec(scenario=scenario, count=2, mode=mode)
-    serial = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=seed))
+    with _cpus(1):
+        serial = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=seed))
     with _cpus(cpus), mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        got = type_one_error(
-            s, MonteCarloSpec(iterations=iterations, master_seed=seed, workers=4)
-        )
+        got = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=seed))
     assert got == serial
     assert fork.call_count == (min(cpus, iterations) - 1) * PINNED
     _no_children_left()
@@ -257,12 +256,8 @@ class TestWorkerCount:
         monkeypatch.setattr(pla.simulate, "_RANGE_WORK", 1)
         monkeypatch.setattr(pla._fork, "_CGROUP_ROOT", tmp_path)  # no quota
 
-    @pytest.mark.parametrize(
-        "cpus, workers, iterations", [(1, 4, 3), (8, 4, 1), (None, 2, 3)]
-    )
-    def test_single_effective_worker_starts_no_pool(
-        self, monkeypatch, cpus, workers, iterations
-    ):
+    @pytest.mark.parametrize("cpus, iterations", [(1, 3), (8, 1), (None, 3)])
+    def test_single_effective_worker_starts_no_pool(self, monkeypatch, cpus, iterations):
         if cpus is None:  # the CPU set is unknown
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
@@ -272,9 +267,7 @@ class TestWorkerCount:
         s = spec(n_sample=200)
         seq = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=2))
         monkeypatch.setattr(os, "fork", _no_fork)
-        got = type_one_error(
-            s, MonteCarloSpec(iterations=iterations, master_seed=2, workers=workers)
-        )
+        got = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=2))
         assert got == seq
 
     def test_pool_size_is_clamped(self, monkeypatch):
@@ -287,8 +280,8 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(pla.simulate, "fork_map", inline_fork_map)
         s = spec(n_sample=200)
-        type_one_error(s, MonteCarloSpec(iterations=5, master_seed=2, workers=8))
-        type_one_error(s, MonteCarloSpec(iterations=2, master_seed=2, workers=8))
+        type_one_error(s, MonteCarloSpec(iterations=5, master_seed=2))
+        type_one_error(s, MonteCarloSpec(iterations=2, master_seed=2))
         assert sizes == [3, 2]
 
 
@@ -306,12 +299,11 @@ class TestRangeFloor:
     )
     def test_the_floor_shrinks_as_m_grows(self, monkeypatch, m, iterations, forks):
         s = spec(m_total=m, n_sample=500)
-        serial = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=6))
+        with _cpus(1):
+            serial = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=6))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         with _no_quota(), mock.patch.object(os, "fork", wraps=os.fork) as fork:
-            got = type_one_error(
-                s, MonteCarloSpec(iterations=iterations, master_seed=6, workers=iterations)
-            )
+            got = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=6))
         assert got == serial
         assert fork.call_count == forks * PINNED
         _no_children_left()
@@ -325,10 +317,11 @@ class TestBlasFallback:
 
     def test_a_run_that_cannot_pin_blas_warns(self, monkeypatch):
         monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_unpinned)
-        serial = type_one_error(spec(), MonteCarloSpec(iterations=4, master_seed=7))
+        with _cpus(1):
+            serial = type_one_error(spec(), MonteCarloSpec(iterations=4, master_seed=7))
         monkeypatch.setattr(os, "fork", _no_fork)
         with pytest.warns(RuntimeWarning, match="runs in one process"):
-            got = type_one_error(spec(), MonteCarloSpec(iterations=4, master_seed=7, workers=4))
+            got = type_one_error(spec(), MonteCarloSpec(iterations=4, master_seed=7))
         assert got == serial
 
     def test_beside_another_thread_the_fallback_is_silent(self):
@@ -336,7 +329,7 @@ class TestBlasFallback:
 
         def run():
             try:
-                type_one_error(spec(), MonteCarloSpec(iterations=4, master_seed=7, workers=4))
+                type_one_error(spec(), MonteCarloSpec(iterations=4, master_seed=7))
             except Warning as exc:  # pytest turns any warning into an error
                 errors.append(exc)
 
@@ -359,7 +352,7 @@ class TestForkedRanges:
         monkeypatch.setattr(pla.simulate, "_run_iteration", failing)
         with _cpus(3), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
                 pytest.raises(_Planted):
-            type_one_error(spec(), MonteCarloSpec(iterations=9, workers=3))
+            type_one_error(spec(), MonteCarloSpec(iterations=9))
         assert fork.call_count == 2 * PINNED
         _no_children_left()
 
@@ -371,12 +364,11 @@ class TestForkedRanges:
                 raise _Planted
             return run_iteration(*args)
 
-        serial = type_one_error(spec(), MonteCarloSpec(iterations=9, master_seed=4))
+        with _cpus(1):
+            serial = type_one_error(spec(), MonteCarloSpec(iterations=9, master_seed=4))
         monkeypatch.setattr(pla.simulate, "_run_iteration", failing_in_children)
         with _cpus(3):
-            got = type_one_error(
-                spec(), MonteCarloSpec(iterations=9, master_seed=4, workers=3)
-            )
+            got = type_one_error(spec(), MonteCarloSpec(iterations=9, master_seed=4))
         assert got == serial
         _no_children_left()
 
@@ -396,10 +388,10 @@ class TestTypeOneError:
 
     def test_workers_match_sequential(self):
         s = spec(n_sample=500)
-        seq = type_one_error(s, MonteCarloSpec(iterations=16, master_seed=5))
-        par = type_one_error(
-            s, MonteCarloSpec(iterations=16, master_seed=5, workers=2)
-        )
+        with _cpus(1):
+            seq = type_one_error(s, MonteCarloSpec(iterations=16, master_seed=5))
+        with _cpus(2):
+            par = type_one_error(s, MonteCarloSpec(iterations=16, master_seed=5))
         assert seq == par
 
     def test_iterations_draw_no_rows(self, monkeypatch):
