@@ -4,10 +4,9 @@ import contextlib
 import ctypes
 import math
 import os
+import pickle
 import threading
 from pathlib import Path
-
-import numpy as np
 
 _CGROUP_ROOT = Path("/sys/fs/cgroup")  # where cgroup v2 is mounted
 _OWN_CGROUP = Path("/proc/self/cgroup")  # "0::/path" names this process's v2 cgroup
@@ -41,11 +40,13 @@ def even_cuts(work: int, floor: int) -> list[int]:
 
 
 def fork_map(fn, tasks: list) -> list:
-    """``fn(task)`` for each task, in order, each a float64 array.
+    """``[fn(task) for task in tasks]``: the same values in order, or the same exception.
 
-    The first task runs here and each other in a forked child that pipes its
-    array back, shape first; a failed child's slot holds None.  Beside
-    another thread, or without ``os.fork``, every task runs here.
+    The first task runs here and each other in a forked child that pickles
+    its value into a pipe.  A task whose child fails, or that the system
+    refuses to fork, runs again here, so its exception, if any, reaches the
+    caller.  Beside another thread, or without ``os.fork``, every task runs
+    here.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(task) for task in tasks]
@@ -53,34 +54,35 @@ def fork_map(fn, tasks: list) -> list:
     try:
         for task in tasks[1:]:
             fds += os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # the empty pipe sends this task back here
+                os.close(fds.pop())
+                continue
             if pid == 0:
                 try:
                     for fd in fds[:-1]:  # the parent alone reads, so it can break the pipe
                         os.close(fd)
                     with open(fds[-1], "wb") as pipe:
-                        values = np.ascontiguousarray(fn(task), np.float64)
-                        pipe.writelines([np.array(values.shape, np.int64), values])
+                        pickle.dump(fn(task), pipe, pickle.HIGHEST_PROTOCOL)
                     os._exit(0)
                 finally:
                     os._exit(1)
             pids.append(pid)
             os.close(fds.pop())
-        parts = [fn(tasks[0])]
-        for fd in fds:
+        values = [fn(tasks[0])]
+        for task, fd in zip(tasks[1:], fds):
             with open(fd, "rb", closefd=False) as pipe:
-                reply = pipe.read()
-            try:
-                shape = np.frombuffer(reply[:16], np.int64)
-                parts.append(np.frombuffer(reply, offset=16).reshape(shape))
-            except ValueError:
-                parts.append(None)
+                try:
+                    values.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):  # an empty or short reply
+                    values.append(fn(task))
     finally:
         for fd in fds:
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
-    return parts
+    return values
 
 
 @contextlib.contextmanager

@@ -11,6 +11,7 @@ import contextlib
 import csv
 import gc
 import json
+import os
 import sys
 import time
 import warnings
@@ -248,6 +249,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
+    if args.out and args.manifest and os.path.realpath(args.out) == os.path.realpath(args.manifest):
+        raise ConfigError("--out and --manifest name the same file")
     mc = MonteCarloSpec(iterations=args.S, master_seed=args.seed)
     # Validates every cell and runs none, so an invalid grid touches no file.
     rows = reproduce_table(args.table, mc, m_values=args.M, count_values=args.count,

@@ -238,22 +238,16 @@ def _assign_cov_eigen_indices(
     return {b: tuple(np.flatnonzero(best == b).tolist()) for b in range(len(blocks))}
 
 
-def _resolve_inputs(data_or_matrix, mode: str):
+def _resolve_inputs(data_or_matrix):
     """Return (cov, names): the covariance estimate the analysis starts from."""
     if isinstance(data_or_matrix, DataMatrix):
         return sample_covariance(data_or_matrix), data_or_matrix.variable_names
     if isinstance(data_or_matrix, DispersionMatrix):
         m = data_or_matrix
-        if mode.startswith("correlation"):
-            raise InsufficientInputError(
-                "correlation modes need the underlying data: the explained-"
-                "variance step requires covariance eigenvalues alongside the "
-                "correlation structure"
-            )
         if m.kind != "covariance":
             raise InsufficientInputError(
-                "covariance modes require a covariance matrix, got "
-                f"kind={m.kind!r}"
+                "PLA needs a covariance matrix, whose eigenvalues score the "
+                f"blocks, got kind={m.kind!r}"
             )
         return m, tuple(f"X{i + 1}" for i in range(len(m.entries)))
     raise TypeError(
@@ -277,7 +271,7 @@ def run_pla(data_or_matrix, config: PlaConfig | None = None) -> PlaReport:
     correlation matrix deliberately removes.
     """
     config = config or PlaConfig()
-    cov, names = _resolve_inputs(data_or_matrix, config.mode)
+    cov, names = _resolve_inputs(data_or_matrix)
     correlated = config.mode.startswith("correlation")
     cov_es = cov.eigensystem
     detection_es = cov_es

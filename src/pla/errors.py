@@ -46,7 +46,7 @@ class DegenerateColumnError(DataError):
 
 
 class InsufficientInputError(DataError):
-    """The requested analysis mode needs inputs that were not provided."""
+    """The input lacks what the analysis needs: a covariance, not a correlation."""
 
 
 class ConsistencyError(DataError):

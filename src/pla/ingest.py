@@ -66,10 +66,11 @@ def load_csv(
     The header is the first non-blank line, split by ``csv.reader``.  The
     body is cut at line ends into spans of at least 1 MiB, one per usable
     CPU.  ``np.loadtxt`` parses the first span here and each other in a
-    forked child (``_fork.fork_map``) that pipes its rows back.  If a
-    span fails or the widths differ, ``_read_rows`` reads the file again: it
-    alone cites lines in errors and drops non-numeric rows under
-    ``drop-row``.  Rows that are not finite are dropped after either reader.
+    forked child (``_fork.fork_map``) that pipes its rows back; a span
+    whose child failed is parsed again here.  If a span cannot be parsed or
+    the widths differ, ``_read_rows`` reads the file again: it alone cites
+    lines in errors and drops non-numeric rows under ``drop-row``.  Rows
+    that are not finite are dropped after either reader.
     """
     if na_policy not in NA_POLICIES:
         raise ConfigError(f"unknown na_policy {na_policy!r}")
@@ -111,8 +112,6 @@ def _load_body(path: Path, delimiter: str, has_header: bool):
         parts = fork_map(lambda span: _parse_span(path, delimiter, *span),
                          list(zip(cuts, cuts[1:])))
     except (OSError, ValueError, TypeError):  # TypeError: numpy refuses "\n" or "\r"
-        return None
-    if any(part is None for part in parts):  # a child failed
         return None
     parts = [part for part in parts if len(part)]
     widths = {part.shape[1] for part in parts} | ({len(names)} if names else set())

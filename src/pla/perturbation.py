@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import check_tau
 from .dispersion import SYMMETRY_TOL, DispersionMatrix
-from .errors import ConfigError, SymmetryError
+from .errors import ConfigError, NumericalError, SymmetryError
 
 __all__ = [
     "BoundDiagnostic",
@@ -39,7 +39,7 @@ class BoundDiagnostic:
 def eigengap_bound(base: DispersionMatrix, delta, tau: float) -> BoundDiagnostic:
     """Sufficient bound on each eigenvector's sup-norm perturbation.
 
-    ``delta`` is a symmetric perturbation of ``base``'s shape.  For
+    ``delta`` is a finite, symmetric perturbation of ``base``'s shape.  For
     eigenvalue j of ``base`` with spectral gap g_j = min over i != j of
     |lambda_i - lambda_j| (infinite for a 1 x 1 matrix), the perturbation
     of eigenvector j is at most 2^{3/2} ||delta||_F / g_j in the 2-norm
@@ -55,6 +55,8 @@ def eigengap_bound(base: DispersionMatrix, delta, tau: float) -> BoundDiagnostic
         raise SymmetryError(
             f"delta shape {delta.shape} does not match base {base.entries.shape}"
         )
+    if not np.all(np.isfinite(delta)):
+        raise NumericalError("delta has non-finite entries")
     # All pairs, not neighbors: the canonical order of a tie run is unsorted.
     lam = base.eigensystem.eigenvalues
     dist = np.abs(lam[:, None] - lam[None, :])

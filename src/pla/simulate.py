@@ -265,15 +265,14 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
     the estimate does not depend on the process count.  ``range(S)`` is cut
     into one contiguous range per usable CPU, as few as give each at least
     ceil(``_RANGE_WORK`` / M) iterations (``_fork.even_cuts``); the first
-    runs here and each other in a forked child (``_fork.fork_map``).  A
-    range whose child failed runs again here, so its exception reaches the
-    caller.  Where BLAS cannot be pinned (no OpenBLAS found, or another
-    thread runs), one process runs them all; for want of OpenBLAS, a
-    ``RuntimeWarning`` says so when more than one would have run.
+    runs here and each other in a forked child (``_fork.fork_map``).  Where
+    BLAS cannot be pinned (no OpenBLAS found, or another thread runs), one
+    process runs them all; for want of OpenBLAS, a ``RuntimeWarning`` says
+    so when more than one would have run.
     """
-    def run(span):  # (success, numerical failure) rows
+    def run(span):  # (successes, numerical failures)
         rows = [_run_iteration(spec, mc.master_seed, s) for s in range(*span)]
-        return np.array(rows, dtype=float).reshape(-1, 2)
+        return sum(ok for ok, _ in rows), sum(bad for _, bad in rows)
 
     with one_blas_thread() as pinned:
         cuts = even_cuts(mc.iterations, math.ceil(_RANGE_WORK / spec.m_total))
@@ -281,13 +280,9 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
             warnings.warn("found no OpenBLAS whose thread count can be set, so the "
                           "Monte Carlo runs in one process", RuntimeWarning, stacklevel=2)
         cuts = cuts if pinned else [0, mc.iterations]
-        spans = list(zip(cuts, cuts[1:]))
-        parts = fork_map(run, spans)
-        results = np.concatenate(
-            [run(span) if part is None else part for span, part in zip(spans, parts)]
-        )
+        counts = fork_map(run, list(zip(cuts, cuts[1:])))
 
-    successes, numerical = (int(n) for n in results.sum(axis=0))
+    successes, numerical = map(sum, zip(*counts))
     failures = mc.iterations - successes
     return ErrorEstimate(
         failures=failures,

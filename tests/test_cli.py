@@ -454,6 +454,27 @@ class TestReproduceTable:
         assert captured.out == ""
         assert json.loads(captured.err)["code"] == 3
 
+    def test_one_file_for_rows_and_manifest_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def spy(*args, **kwargs):
+            raise AssertionError("a grid cell ran")
+
+        monkeypatch.setattr(pla.simulate, "type_one_error", spy)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "same.txt"
+        path.write_bytes(b"precious\n")
+        code = main(
+            ["reproduce-table", "--table", "I", "--M", "20", "--k", "1", "--N", "500",
+             "--tau", "0.4", "--S", "4", "--out", "same.txt", "--manifest", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert [json.loads(line) for line in captured.err.splitlines()] == [
+            {"code": 2, "message": "--out and --manifest name the same file"}
+        ]
+        assert path.read_bytes() == b"precious\n"
+
     @pytest.mark.parametrize("flag", ["--out", "--manifest"])
     def test_invalid_grid_leaves_existing_file(self, flag, tmp_path, capsys):
         path = tmp_path / "existing"

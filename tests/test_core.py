@@ -16,7 +16,9 @@ from pla import (
     explained_variance_exact,
     rescale_eigenvectors,
     run_pla,
+    sample_covariance,
 )
+from pla.core import EV_FORMULAS, MODES
 
 BLOCK_3X3 = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 5.0]])
 
@@ -254,10 +256,23 @@ class TestRunPla:
         run_pla(data, PlaConfig(tau=0.7, mode=mode))
         assert (calls["cov"], calls["eigh"], calls["eigvalsh"]) == expected
 
-    def test_correlation_mode_needs_data(self):
-        m = DispersionMatrix(BLOCK_3X3, "covariance")
-        with pytest.raises(InsufficientInputError):
-            run_pla(m, PlaConfig(mode="correlation-rescaled"))
+    @pytest.mark.parametrize("ev_formula", EV_FORMULAS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_covariance_matrix_gives_the_result_of_its_data(self, mode, ev_formula):
+        cov = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 0.05]])
+        data = gaussian_sample(cov, 2000, seed=47, names=("a", "b", "c"))
+        config = PlaConfig(tau=0.7, mode=mode, ev_cutoff=0.1, ev_formula=ev_formula)
+        want = run_pla(data, config)
+        got = run_pla(sample_covariance(data), config)
+        assert got.partition == want.partition  # blocks, scores and flags
+        assert got.variable_names == ("X1", "X2", "X3")
+        assert (want.recommendation, got.recommendation) == (("c",), ("X3",))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_correlation_matrix_is_refused(self, mode):
+        m = DispersionMatrix(np.eye(3), "correlation")
+        with pytest.raises(InsufficientInputError, match="needs a covariance matrix"):
+            run_pla(m, PlaConfig(mode=mode))
 
     def test_residual_warning(self):
         # both loadings are 1/sqrt(2) < tau: no edge, two unbalanced variables

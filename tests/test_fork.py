@@ -11,7 +11,8 @@ import pla._fork
 import pla.ingest
 import pla.simulate
 from pla import MonteCarloSpec, ScenarioSpec, load_csv, type_one_error
-from test_ingest import _no_children_left
+from pla.cli import main
+from test_ingest import _no_children_left, _no_quota, _split
 from test_simulate import PINNED
 
 
@@ -139,3 +140,95 @@ def test_blas_is_pinned_only_in_a_lone_thread(monkeypatch):
         thread.join()
     assert pins == [False, False]
     assert (blas.threads, blas.setters) == (2, [])
+
+
+def _value(kind):
+    """A value of each type a task may return; the same for the same kind."""
+    return {"none": None, "int": 7, "tuple": (3, "x", 0.5),
+            "1-d": np.arange(5.0), "2-d": np.arange(6).reshape(2, 3)}[kind]
+
+
+class _Planted(Exception):
+    pass
+
+
+class TestForkMap:
+    """``fork_map(fn, tasks)`` is ``[fn(task) for task in tasks]``."""
+
+    def test_any_value_crosses_in_order(self):
+        kinds = ["2-d", "none", "int", "tuple", "1-d", "2-d"]
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            got = pla._fork.fork_map(_value, kinds)
+        assert fork.call_count == len(kinds) - 1
+        want = [_value(kind) for kind in kinds]
+        assert [type(value) for value in got] == [type(value) for value in want]
+        for value, expected in zip(got, want):
+            if isinstance(expected, np.ndarray):
+                assert value.dtype == expected.dtype
+                np.testing.assert_array_equal(value, expected)
+            else:
+                assert value == expected
+        _no_children_left()
+
+    def test_the_first_failing_task_raises_its_own_exception(self):
+        def fn(task):  # tasks 1 and 2 run in children, and fail there and here
+            if task == 1:
+                raise _Planted(task)
+            if task == 2:
+                raise KeyError(task)
+            return task
+
+        with pytest.raises(_Planted, match="1"):
+            pla._fork.fork_map(fn, [0, 1, 2, 3])
+        _no_children_left()
+
+    def test_a_task_whose_child_failed_runs_here(self):
+        parent = os.getpid()
+
+        def fn(task):
+            if os.getpid() != parent:
+                os._exit(3)  # a child that dies without a word
+            return (task, os.getpid())
+
+        assert pla._fork.fork_map(fn, [0, 1, 2]) == [(0, parent), (1, parent), (2, parent)]
+        _no_children_left()
+
+
+def _refused_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+class TestRefusedFork:
+    """Where the system refuses a fork, the task runs here instead."""
+
+    def test_fork_map_runs_the_task_here(self):
+        with mock.patch.object(os, "fork", side_effect=_refused_fork) as fork:
+            assert pla._fork.fork_map(_value, ["int", "tuple", "none"]) == [
+                7, (3, "x", 0.5), None]
+        assert fork.call_count == 2
+
+    def test_simulate_prints_the_one_cpu_bytes(self, capsys):
+        args = ["simulate", "--scenario", "single-vars", "--M", "200", "--k", "1",
+                "--N", "10000", "--tau", "0.6", "--S", "10", "--seed", "3"]
+
+        def run(cpus):
+            with mock.patch.object(os, "sched_getaffinity", return_value=cpus, create=True), \
+                    _no_quota():
+                assert main(args) == 0
+            return capsys.readouterr()
+
+        one_cpu = run({0})
+        with mock.patch.object(os, "fork", side_effect=_refused_fork) as fork:
+            refused = run({0, 1})
+        assert fork.call_count == PINNED
+        assert (refused.out, refused.err) == (one_cpu.out, one_cpu.err) == (one_cpu.out, "")
+
+    def test_load_csv_parses_the_span_here(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b\n1,2\n3,4\n5,6\n")
+        with _split(), mock.patch.object(os, "fork", side_effect=_refused_fork) as fork, \
+                mock.patch.object(pla.ingest, "_read_rows", side_effect=AssertionError):
+            data = load_csv(path)
+        assert fork.call_count == 2
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [5, 6]])
+        assert data.variable_names == ("a", "b")

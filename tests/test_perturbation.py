@@ -38,6 +38,17 @@ class TestPerturbationPair:
         with pytest.raises(SymmetryError):
             eigengap_bound(base, np.array([[0.0, 0.1], [0.0, 0.0]]), tau=0.2)
 
+    @pytest.mark.parametrize(
+        "delta",
+        [[[0.0, np.nan], [np.nan, 0.0]], [[np.inf, 0.0], [0.0, 0.0]],
+         [[0.0, np.inf], [-np.inf, 0.0]], [[0.0, np.inf], [np.inf, 0.0]]],
+        ids=["nan", "inf", "antisymmetric-inf", "symmetric-inf"],
+    )
+    def test_rejects_a_non_finite_delta(self, delta):
+        base = DispersionMatrix(np.eye(2), "covariance")
+        with pytest.raises(NumericalError, match="non-finite"):
+            eigengap_bound(base, np.array(delta), tau=0.2)
+
     def test_rejects_shape_mismatch(self):
         base = DispersionMatrix(np.eye(2), "covariance")
         with pytest.raises(SymmetryError):
