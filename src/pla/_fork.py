@@ -89,13 +89,15 @@ def fork_map(fn, tasks: list) -> list:
 def one_blas_thread():
     """OpenBLAS on one thread, which forked children inherit.
 
-    Yields False, and changes nothing, where OpenBLAS is not found or another
-    thread runs: the setting is the whole process's, and ``fork_map`` would
-    not fork beside that thread anyway.
+    Yields True where it pinned.  Otherwise it changes nothing and yields
+    None where another thread runs, as the setting is the whole process's
+    and ``fork_map`` would not fork beside that thread anyway, or False
+    where no OpenBLAS whose thread count can be set is found.
     """
-    found = _blas_threads() if threading.active_count() == 1 else None
+    alone = threading.active_count() == 1
+    found = _blas_threads() if alone else None
     if found is None:
-        yield False
+        yield False if alone else None
         return
     get, set_ = found
     before = get()

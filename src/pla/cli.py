@@ -50,13 +50,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _emit(payload: dict, out: str | None, as_text: bool = False) -> None:
-    if as_text:
+def _emit(payload: dict, args) -> None:
+    if args.format == "text":
         rendered = _render_text(payload)
     else:
         rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
@@ -113,6 +113,11 @@ def _input_flags(sub) -> None:
     sub.add_argument("--na-policy", default="fail", choices=NA_POLICIES)
 
 
+def _report_flags(sub) -> None:
+    sub.add_argument("--out", help="write report here instead of stdout")
+    sub.add_argument("--format", default="json", choices=("json", "text"))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pla", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -121,8 +126,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("analyze", help="run PLA on a CSV dataset")
     _input_flags(p)
     _pla_flags(p)
-    p.add_argument("--out", help="write report here instead of stdout")
-    p.add_argument("--format", default="json", choices=["json", "text"])
+    _report_flags(p)
 
     p = subs.add_parser("discard", help="analyze and write the reduced dataset")
     _input_flags(p)
@@ -134,16 +138,14 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", default="covariance", choices=KINDS)
     p.add_argument("--delta", required=True, help="CSV of the symmetric perturbation")
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--out")
-    p.add_argument("--format", default="json", choices=["json", "text"])
+    _report_flags(p)
 
     p = subs.add_parser("sensitivity", help="variance-sensitivity finite differences")
     p.add_argument("--matrix", required=True, help="CSV of the symmetric covariance")
     p.add_argument("--variable", type=int, required=True, help="0-based variable index")
     p.add_argument("--increments", required=True,
                    help="comma-separated positive increasing grid")
-    p.add_argument("--out")
-    p.add_argument("--format", default="json", choices=["json", "text"])
+    _report_flags(p)
 
     p = subs.add_parser("simulate", help="Type-I-error Monte Carlo for one scenario")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
@@ -155,8 +157,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=MonteCarloSpec.master_seed)
     p.add_argument("--mode", default=ScenarioSpec.mode, choices=MODES)
     p.add_argument("--epsilon-scale", type=float, default=ScenarioSpec.epsilon_scale)
-    p.add_argument("--out")
-    p.add_argument("--format", default="json", choices=["json", "text"])
+    _report_flags(p)
 
     p = subs.add_parser("reproduce-table", help="Type-I-error grid as CSV")
     p.add_argument("--table", required=True, choices=tuple(TABLE_GRIDS))
@@ -182,7 +183,7 @@ def _analyze_input(args):
 
 def _cmd_analyze(args) -> int:
     _, report = _analyze_input(args)
-    _emit(report.to_dict(), args.out, as_text=args.format == "text")
+    _emit(report.to_dict(), args)
     return EXIT_OK
 
 
@@ -205,7 +206,7 @@ def _cmd_bound(args) -> int:
         "bounds": [_json_float(b) for b in diag.bounds],
         "implies_below_tau": diag.implies_below_tau.tolist(),
     }
-    _emit(payload, args.out, as_text=args.format == "text")
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -226,7 +227,7 @@ def _cmd_sensitivity(args) -> int:
         "tracking_errors": list(profile.tracking_errors),
         "sign_contract_ok": list(profile.sign_contract_ok),
     }
-    _emit(payload, args.out, as_text=args.format == "text")
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -244,7 +245,7 @@ def _cmd_simulate(args) -> int:
         "numerical_failures": est.numerical_failures,
     }
     _warn_numerical(payload)
-    _emit(payload, args.out, as_text=args.format == "text")
+    _emit(payload, args)
     return EXIT_OK
 
 

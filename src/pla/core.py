@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import (
-    EIGENVALUE_TIE_TOL,
     DispersionMatrix,
     EigenSystem,
     correlation_from_covariance,
     sample_covariance,
+    tie_tolerance,
 )
 from .errors import (
     ConfigError,
@@ -26,7 +26,7 @@ from .errors import (
     InsufficientInputError,
     ZeroTraceError,
 )
-from .ingest import DataMatrix
+from .ingest import DataMatrix, _default_names
 
 __all__ = [
     "PlaConfig",
@@ -249,7 +249,7 @@ def _resolve_inputs(data_or_matrix):
                 "PLA needs a covariance matrix, whose eigenvalues score the "
                 f"blocks, got kind={m.kind!r}"
             )
-        return m, tuple(f"X{i + 1}" for i in range(len(m.entries)))
+        return m, _default_names(len(m.entries))
     raise TypeError(
         f"expected DataMatrix or DispersionMatrix, got {type(data_or_matrix)!r}"
     )
@@ -286,8 +286,7 @@ def run_pla(data_or_matrix, config: PlaConfig | None = None) -> PlaReport:
             + ", ".join(names[i] for i in partition.residual)
         )
     gaps = -np.diff(detection_es.eigenvalues)
-    tie_tol = EIGENVALUE_TIE_TOL * max(abs(detection_es.total), 1e-300)
-    if np.any(gaps < tie_tol):
+    if np.any(gaps < tie_tolerance(detection_es.eigenvalues)):
         warnings.append(
             "near-degenerate eigenvalues detected; block assignment inside "
             "the degenerate eigenspace is not well defined"

@@ -124,10 +124,15 @@ def correlation_from_covariance(
     return DispersionMatrix(corr, "correlation")
 
 
+def tie_tolerance(eigenvalues: np.ndarray) -> float:
+    """Eigenvalue gaps below this are ties: EIGENVALUE_TIE_TOL times |sum|."""
+    return EIGENVALUE_TIE_TOL * max(abs(float(eigenvalues.sum())), 1e-300)
+
+
 def _canonical_eigensystem(eigvals: np.ndarray, eigvecs: np.ndarray) -> EigenSystem:
     """Canonical form of one ascending ``eigh`` result (see ``DispersionMatrix``).
 
-    Runs of tied eigenvalues (each gap below EIGENVALUE_TIE_TOL * |trace|)
+    Runs of tied eigenvalues (each gap below ``tie_tolerance``)
     are ordered by the row index of each eigenvector's largest-magnitude
     entry, which makes block detection deterministic.
     """
@@ -136,7 +141,7 @@ def _canonical_eigensystem(eigvals: np.ndarray, eigvecs: np.ndarray) -> EigenSys
     # Validation has rejected every negative eigenvalue beyond PSD_TOL.
     eigvals[eigvals < 0.0] = 0.0
 
-    tol = EIGENVALUE_TIE_TOL * max(abs(float(eigvals.sum())), 1e-300)
+    tol = tie_tolerance(eigvals)
     runs = np.concatenate(([0], np.cumsum(~(eigvals[:-1] - eigvals[1:] < tol))))
     peaks = np.argmax(np.abs(eigvecs), axis=0)
     order = np.lexsort((peaks, runs))

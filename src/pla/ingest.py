@@ -38,7 +38,7 @@ class DataMatrix:
             raise DimensionError(f"need at least 2 variables, got {m}")
         if not np.all(np.isfinite(values)):
             raise ParseError("data contains non-finite entries")
-        names = self.variable_names or tuple(f"X{i + 1}" for i in range(m))
+        names = self.variable_names or _default_names(m)
         if len(names) != m:
             raise DimensionError(
                 f"{len(names)} variable names for {m} columns"
@@ -47,6 +47,11 @@ class DataMatrix:
             raise ParseError("variable names are not unique")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variable_names", tuple(str(s) for s in names))
+
+
+def _default_names(m: int) -> tuple[str, ...]:
+    """The names of M unnamed variables: X1 to XM."""
+    return tuple(f"X{i + 1}" for i in range(m))
 
 
 def load_csv(
@@ -66,11 +71,13 @@ def load_csv(
     The header is the first non-blank line, split by ``csv.reader``.  The
     body is cut at line ends into spans of at least 1 MiB, one per usable
     CPU.  ``np.loadtxt`` parses the first span here and each other in a
-    forked child (``_fork.fork_map``) that pipes its rows back; a span
-    whose child failed is parsed again here.  If a span cannot be parsed or
-    the widths differ, ``_read_rows`` reads the file again: it alone cites
+    forked child (``_fork.fork_map``) that pipes back its rows, or None
+    where numpy refuses the span; a span whose child died is parsed again
+    here.  If numpy refuses a span or the widths differ, ``_read_rows``
+    reads the file at once, and no span is parsed again: it alone cites
     lines in errors and drops non-numeric rows under ``drop-row``.  Rows
-    that are not finite are dropped after either reader.
+    that are not finite are dropped after either reader.  Without a header
+    ``DataMatrix`` names the variables X1 to XM.
     """
     if na_policy not in NA_POLICIES:
         raise ConfigError(f"unknown na_policy {na_policy!r}")
@@ -79,7 +86,7 @@ def load_csv(
     path = Path(path)
     names, values = (_load_body(path, delimiter, has_header)
                      or _read_rows(path, delimiter, has_header, na_policy))
-    width = len(names)
+    width = values.shape[1]
     if width < 2:
         raise DimensionError(f"{path}: need at least 2 columns, got {width}")
     if na_policy == "drop-row":
@@ -90,11 +97,11 @@ def load_csv(
 
 
 def _load_body(path: Path, delimiter: str, has_header: bool):
-    """Names and values with the body parsed by ``np.loadtxt``, else None."""
+    """Names, () without a header, and values parsed by ``np.loadtxt``, else None."""
     try:
         with path.open("rb") as fh:
             fh.seek(3 if fh.read(3) == b"\xef\xbb\xbf" else 0)  # skip a byte-order mark
-            names = None
+            names = ()
             if has_header:
                 body = fh.tell()
                 for line in (piece for raw in fh for piece in raw.splitlines(keepends=True)):
@@ -111,13 +118,14 @@ def _load_body(path: Path, delimiter: str, has_header: bool):
             cuts = _cuts(fh)
         parts = fork_map(lambda span: _parse_span(path, delimiter, *span),
                          list(zip(cuts, cuts[1:])))
-    except (OSError, ValueError, TypeError):  # TypeError: numpy refuses "\n" or "\r"
+    except (OSError, ValueError):
+        return None
+    if any(part is None for part in parts):
         return None
     parts = [part for part in parts if len(part)]
     widths = {part.shape[1] for part in parts} | ({len(names)} if names else set())
     if not parts or len(widths) != 1:
         return None
-    names = names or tuple(f"X{i + 1}" for i in range(widths.pop()))
     return names, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -133,8 +141,8 @@ def _cuts(fh) -> list[int]:
     return cuts + [size]
 
 
-def _parse_span(path: Path, delimiter: str, lo: int, hi: int) -> np.ndarray:
-    """The lines from byte ``lo`` to byte ``hi`` parsed by one ``np.loadtxt``."""
+def _parse_span(path: Path, delimiter: str, lo: int, hi: int) -> np.ndarray | None:
+    """The lines from byte ``lo`` to ``hi`` parsed by one ``np.loadtxt``, or None."""
     with path.open("rb") as fh, warnings.catch_warnings():
         # a body without rows goes to _read_rows, which names the fault
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -142,11 +150,14 @@ def _parse_span(path: Path, delimiter: str, lo: int, hi: int) -> np.ndarray:
         raw = itertools.takewhile(lambda _: fh.tell() <= hi, fh)  # split at LF only
         # a lone CR ends a line too, as it does for csv.reader
         lines = (line.decode() for chunk in raw for line in chunk.splitlines())
-        return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+        try:
+            return np.loadtxt(lines, delimiter=delimiter, comments=None, ndmin=2)
+        except (ValueError, TypeError):  # TypeError: numpy refuses "\n" or "\r"
+            return None
 
 
 def _read_rows(path, delimiter: str, has_header: bool, na_policy: str | None = None):
-    """Names and values read row by row with ``csv.reader`` and ``float``.
+    """Names, () without a header, and values read by ``csv.reader`` and ``float``.
 
     Every ParseError of ``load_csv`` comes from here, citing the physical
     line; with ``na_policy`` None, for matrix files, errors name no option.
@@ -161,9 +172,9 @@ def _read_rows(path, delimiter: str, has_header: bool, na_policy: str | None = N
         if has_header:
             names = tuple(cell.strip() for cell in first[1])
         else:
-            names = tuple(f"X{i + 1}" for i in range(len(first[1])))
+            names = ()
             rows = itertools.chain([first], rows)
-        width = len(names)
+        width = len(first[1])
 
         for lineno, row in rows:
             if len(row) != width:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -266,9 +265,9 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
     into one contiguous range per usable CPU, as few as give each at least
     ceil(``_RANGE_WORK`` / M) iterations (``_fork.even_cuts``); the first
     runs here and each other in a forked child (``_fork.fork_map``).  Where
-    BLAS cannot be pinned (no OpenBLAS found, or another thread runs), one
-    process runs them all; for want of OpenBLAS, a ``RuntimeWarning`` says
-    so when more than one would have run.
+    ``one_blas_thread`` cannot pin BLAS, one process runs them all; for want
+    of OpenBLAS, a ``RuntimeWarning`` says so when more than one would have
+    run.
     """
     def run(span):  # (successes, numerical failures)
         rows = [_run_iteration(spec, mc.master_seed, s) for s in range(*span)]
@@ -276,7 +275,7 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
 
     with one_blas_thread() as pinned:
         cuts = even_cuts(mc.iterations, math.ceil(_RANGE_WORK / spec.m_total))
-        if len(cuts) > 2 and not pinned and threading.active_count() == 1:
+        if len(cuts) > 2 and pinned is False:  # None: another thread runs
             warnings.warn("found no OpenBLAS whose thread count can be set, so the "
                           "Monte Carlo runs in one process", RuntimeWarning, stacklevel=2)
         cuts = cuts if pinned else [0, mc.iterations]

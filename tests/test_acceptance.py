@@ -7,6 +7,7 @@ the heavy runs happen once.
 
 import numpy as np
 import pytest
+from conftest import BLOCK_3X3, gaussian_sample, random_block_diagonal
 
 from pla import (
     Block,
@@ -47,19 +48,6 @@ def singleton_rates():
         tau: _mc_rate("single-vars", 1, 5000, tau)
         for tau in (0.4, 0.5, 0.6, 0.7)
     }
-
-
-def random_block_diagonal(rng, sizes):
-    m = sum(sizes)
-    cov = np.zeros((m, m))
-    offset = 0
-    for size in sizes:
-        a = rng.standard_normal((size, size + 2))
-        cov[offset : offset + size, offset : offset + size] = (
-            a @ a.T / (size + 2) + 0.2 * np.eye(size)
-        )
-        offset += size
-    return cov
 
 
 def test_criterion_1_singleton_error_rates(singleton_rates):
@@ -127,11 +115,7 @@ def test_criterion_5_scale_invariance():
 
     # adversarial covariance-mode case: inflating one column's scale moves
     # its loadings, changing the detected partition
-    base = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 5.0]])
-    data = DataMatrix(
-        np.random.default_rng(7).standard_normal((5000, 3))
-        @ np.linalg.cholesky(base).T
-    )
+    data = gaussian_sample(BLOCK_3X3, 5000, 7)
     scaled = DataMatrix(data.values * [1.0, 1000.0, 1.0], data.variable_names)
     config = PlaConfig(tau=0.3, mode="covariance")
     cov_differs = (

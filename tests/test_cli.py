@@ -13,12 +13,10 @@ import pytest
 
 import pla
 import pla.simulate
-from pla import (DataMatrix, DispersionMatrix, ErrorEstimate, MonteCarloSpec, PlaConfig,
-                 ScenarioSpec, detect_blocks, eigengap_bound, load_csv, reproduce_table,
-                 write_csv)
+from pla import (DispersionMatrix, ErrorEstimate, MonteCarloSpec, PlaConfig, ScenarioSpec,
+                 detect_blocks, eigengap_bound, load_csv, reproduce_table, write_csv)
 from pla.cli import main
-from test_ingest import _no_children_left
-from test_simulate import _blas_pinned, _blas_unpinned, _cpus
+from conftest import BLOCK_3X3, blas_pinned, blas_unpinned, gaussian_sample, split_work
 from pla.errors import (
     ConfigError,
     ConsistencyError,
@@ -34,15 +32,10 @@ from pla.errors import (
     ZeroTraceError,
 )
 
-BLOCK_3X3 = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 5.0]])
-
-
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
-    rng = np.random.default_rng(123)
-    values = rng.standard_normal((5000, 3)) @ np.linalg.cholesky(BLOCK_3X3).T
     path = tmp_path_factory.mktemp("data") / "sample.csv"
-    write_csv(DataMatrix(values, ("X1", "X2", "X3")), path)
+    write_csv(gaussian_sample(BLOCK_3X3, 5000, 123, ("X1", "X2", "X3")), path)
     return str(path)
 
 
@@ -202,11 +195,9 @@ def test_every_tau_entry_point_gives_one_message(tau, dataset, tmp_path, capsys)
 
 class TestDiscard:
     def test_writes_reduced_csv(self, tmp_path, capsys):
-        rng = np.random.default_rng(7)
         cov = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 0.05]])
-        values = rng.standard_normal((5000, 3)) @ np.linalg.cholesky(cov).T
         src = tmp_path / "in.csv"
-        write_csv(DataMatrix(values, ("X1", "X2", "X3")), src)
+        write_csv(gaussian_sample(cov, 5000, 7, ("X1", "X2", "X3")), src)
         out = tmp_path / "kept.csv"
         code = main(
             ["discard", "--input", str(src), "--tau", "0.7",
@@ -377,8 +368,8 @@ class TestSimulate:
         assert "3 of 3 iterations failed numerically" in json.loads(err[0])["warning"]
 
     def test_a_blas_fallback_warns_in_one_json_line(self, monkeypatch, capsys):
-        monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_unpinned)
-        with _cpus(2), warnings.catch_warnings():
+        monkeypatch.setattr(pla.simulate, "one_blas_thread", blas_unpinned)
+        with split_work(2), warnings.catch_warnings():
             warnings.simplefilter("default")  # as in a pla process; pytest raises them
             assert main(SIMULATE_M8) == 0
         err = capsys.readouterr().err.splitlines()
@@ -386,11 +377,10 @@ class TestSimulate:
         assert "runs in one process" in json.loads(err[0])["warning"]
 
     def test_a_pinned_run_on_two_cpus_prints_nothing_on_stderr(self, monkeypatch, capsys):
-        monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_pinned)
-        with _cpus(2):
+        monkeypatch.setattr(pla.simulate, "one_blas_thread", blas_pinned)
+        with split_work(2):
             assert main(SIMULATE_M8) == 0
         assert capsys.readouterr().err == ""
-        _no_children_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_out_of_memory_is_one_json_line(self, cpus, monkeypatch, capsys):
@@ -402,15 +392,14 @@ class TestSimulate:
             return draw(pop, n, seed)
 
         monkeypatch.setattr(pla.simulate, "draw_covariance", short_of_memory)
-        monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_pinned)
-        with _cpus(cpus), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        monkeypatch.setattr(pla.simulate, "one_blas_thread", blas_pinned)
+        with split_work(cpus), mock.patch.object(os, "fork", wraps=os.fork) as fork:
             code = main(SIMULATE_M8)
         captured = capsys.readouterr()
         assert (code, captured.out, fork.call_count) == (3, "", cpus - 1)
         assert [json.loads(line) for line in captured.err.splitlines()] == [
             {"code": 3, "message": "Unable to allocate 8 GiB"}
         ]
-        _no_children_left()
 
     def test_a_bare_memory_error_is_named(self, monkeypatch, capsys):
         def fail(spec, mc):

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from conftest import BLOCK_3X3, gaussian_sample, random_block_diagonal
 
 from pla import (
     Block,
@@ -19,28 +22,6 @@ from pla import (
     sample_covariance,
 )
 from pla.core import EV_FORMULAS, MODES
-
-BLOCK_3X3 = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 5.0]])
-
-
-def gaussian_sample(cov, n, seed, names=None):
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((n, cov.shape[0])) @ np.linalg.cholesky(cov).T
-    return DataMatrix(values, names or ())
-
-
-def random_block_diagonal(rng, sizes, spread=1.0):
-    """PD block-diagonal covariance with dense random blocks."""
-    m = sum(sizes)
-    cov = np.zeros((m, m))
-    offset = 0
-    for size in sizes:
-        a = rng.standard_normal((size, size + 2))
-        block = a @ a.T / (size + 2) + 0.2 * np.eye(size)
-        cov[offset : offset + size, offset : offset + size] = spread * block
-        offset += size
-    return cov
-
 
 class TestRescale:
     def test_equal_pair(self):
@@ -237,24 +218,13 @@ class TestRunPla:
             ("covariance-rescaled", (1, 1, 0)),
         ],
     )
-    def test_one_estimate_and_one_solve_per_matrix(self, monkeypatch, mode, expected):
-        calls = {"cov": 0, "eigh": 0, "eigvalsh": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
+    def test_one_estimate_and_one_solve_per_matrix(self, mode, expected):
         data = gaussian_sample(BLOCK_3X3, 500, seed=46)
-        monkeypatch.setattr(np, "cov", counted("cov", np.cov))
-        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh)
-        )
-        run_pla(data, PlaConfig(tau=0.7, mode=mode))
-        assert (calls["cov"], calls["eigh"], calls["eigvalsh"]) == expected
+        with mock.patch.object(np, "cov", wraps=np.cov) as cov, \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+                mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            run_pla(data, PlaConfig(tau=0.7, mode=mode))
+        assert (cov.call_count, eigh.call_count, eigvalsh.call_count) == expected
 
     @pytest.mark.parametrize("ev_formula", EV_FORMULAS)
     @pytest.mark.parametrize("mode", MODES)

@@ -12,33 +12,26 @@ import pla.ingest
 import pla.simulate
 from pla import MonteCarloSpec, ScenarioSpec, load_csv, type_one_error
 from pla.cli import main
-from test_ingest import _no_children_left, _no_quota, _split
-from test_simulate import PINNED
+from conftest import PINNED, Planted, cpus, split_work
 
 
 @pytest.fixture
-def four_cpus():
-    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1, 2, 3}, create=True):
-        yield
-
-
-@pytest.fixture
-def cgroup(tmp_path, monkeypatch):
-    """A cgroup v2 tree under tmp_path, and this process in its root."""
+def cgroup(tmp_path):
+    """Four usable CPUs, a cgroup v2 tree under tmp_path, and this process in its root."""
     root = tmp_path / "cgroup"
     root.mkdir()
     own = tmp_path / "own"
     own.write_text("0::/\n")
-    monkeypatch.setattr(pla._fork, "_CGROUP_ROOT", root)
-    monkeypatch.setattr(pla._fork, "_OWN_CGROUP", own)
-    return root, own
+    with cpus(4), mock.patch.object(pla._fork, "_CGROUP_ROOT", root), \
+            mock.patch.object(pla._fork, "_OWN_CGROUP", own):
+        yield root, own
 
 
 @pytest.mark.parametrize(
     "cpu_max, cpus", [("max 100000\n", 4), ("150000 100000\n", 2), ("50000 100000\n", 1),
                       ("800000 100000\n", 4), (None, 4)]
 )
-def test_usable_cpus_honour_a_cgroup_quota(cgroup, four_cpus, cpu_max, cpus):
+def test_usable_cpus_honour_a_cgroup_quota(cgroup, cpu_max, cpus):
     root, _ = cgroup
     if cpu_max is not None:
         (root / "cpu.max").write_text(cpu_max)
@@ -55,7 +48,7 @@ def test_usable_cpus_honour_a_cgroup_quota(cgroup, four_cpus, cpu_max, cpus):
      ("1:cpu:/a\n", {"a": "100000 100000"}, 4),  # no v2 cgroup: only the root counts
      (None, {"": "200000 100000", "a": "100000 100000"}, 2)],  # own cgroup unknown
 )
-def test_usable_cpus_take_the_least_quota_up_the_tree(cgroup, four_cpus, own, quotas, cpus):
+def test_usable_cpus_take_the_least_quota_up_the_tree(cgroup, own, quotas, cpus):
     root, own_file = cgroup
     if own is None:
         own_file.unlink()
@@ -67,7 +60,7 @@ def test_usable_cpus_take_the_least_quota_up_the_tree(cgroup, four_cpus, own, qu
     assert pla._fork.usable_cpus() == cpus
 
 
-def test_both_fork_sites_get_the_capped_count(tmp_path, cgroup, four_cpus):
+def test_both_fork_sites_get_the_capped_count(tmp_path, cgroup):
     (cgroup[0] / "cpu.max").write_text("150000 100000\n")
     data = tmp_path / "data.csv"
     data.write_text("a,b\n1,2\n3,4\n5,6\n7,8\n")
@@ -79,7 +72,6 @@ def test_both_fork_sites_get_the_capped_count(tmp_path, cgroup, four_cpus):
         assert fork.call_count == 1
         type_one_error(spec, MonteCarloSpec(iterations=8))
         assert fork.call_count == 1 + PINNED
-    _no_children_left()
 
 
 def test_a_library_path_with_a_space_is_loaded_whole(tmp_path, monkeypatch):
@@ -138,7 +130,7 @@ def test_blas_is_pinned_only_in_a_lone_thread(monkeypatch):
         thread.start()
     for thread in threads:
         thread.join()
-    assert pins == [False, False]
+    assert pins == [None, None]
     assert (blas.threads, blas.setters) == (2, [])
 
 
@@ -146,10 +138,6 @@ def _value(kind):
     """A value of each type a task may return; the same for the same kind."""
     return {"none": None, "int": 7, "tuple": (3, "x", 0.5),
             "1-d": np.arange(5.0), "2-d": np.arange(6).reshape(2, 3)}[kind]
-
-
-class _Planted(Exception):
-    pass
 
 
 class TestForkMap:
@@ -168,19 +156,17 @@ class TestForkMap:
                 np.testing.assert_array_equal(value, expected)
             else:
                 assert value == expected
-        _no_children_left()
 
     def test_the_first_failing_task_raises_its_own_exception(self):
         def fn(task):  # tasks 1 and 2 run in children, and fail there and here
             if task == 1:
-                raise _Planted(task)
+                raise Planted(task)
             if task == 2:
                 raise KeyError(task)
             return task
 
-        with pytest.raises(_Planted, match="1"):
+        with pytest.raises(Planted, match="1"):
             pla._fork.fork_map(fn, [0, 1, 2, 3])
-        _no_children_left()
 
     def test_a_task_whose_child_failed_runs_here(self):
         parent = os.getpid()
@@ -191,7 +177,6 @@ class TestForkMap:
             return (task, os.getpid())
 
         assert pla._fork.fork_map(fn, [0, 1, 2]) == [(0, parent), (1, parent), (2, parent)]
-        _no_children_left()
 
 
 def _refused_fork():
@@ -211,22 +196,21 @@ class TestRefusedFork:
         args = ["simulate", "--scenario", "single-vars", "--M", "200", "--k", "1",
                 "--N", "10000", "--tau", "0.6", "--S", "10", "--seed", "3"]
 
-        def run(cpus):
-            with mock.patch.object(os, "sched_getaffinity", return_value=cpus, create=True), \
-                    _no_quota():
+        def run(count):
+            with cpus(count):
                 assert main(args) == 0
             return capsys.readouterr()
 
-        one_cpu = run({0})
+        one_cpu = run(1)
         with mock.patch.object(os, "fork", side_effect=_refused_fork) as fork:
-            refused = run({0, 1})
+            refused = run(2)
         assert fork.call_count == PINNED
         assert (refused.out, refused.err) == (one_cpu.out, one_cpu.err) == (one_cpu.out, "")
 
     def test_load_csv_parses_the_span_here(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1,2\n3,4\n5,6\n")
-        with _split(), mock.patch.object(os, "fork", side_effect=_refused_fork) as fork, \
+        with split_work(), mock.patch.object(os, "fork", side_effect=_refused_fork) as fork, \
                 mock.patch.object(pla.ingest, "_read_rows", side_effect=AssertionError):
             data = load_csv(path)
         assert fork.call_count == 2

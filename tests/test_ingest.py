@@ -1,16 +1,14 @@
-import contextlib
+import json
 import os
 import signal
-import threading
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import no_children_left, split_work
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import pla._fork
 import pla.ingest
 from pla import (
     DataMatrix,
@@ -18,9 +16,11 @@ from pla import (
     ParseError,
     correlation_from_covariance,
     load_csv,
+    run_pla,
     sample_covariance,
     write_csv,
 )
+from pla.cli import main
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -225,26 +225,6 @@ def test_load_csv_matches_the_row_reader(tmp_path_factory, case, has_header, na_
     _matches_the_row_reader(path, case, has_header, na_policy)
 
 
-def _no_quota():
-    """No cgroup CPU quota, whatever the host sets: the directory cannot exist."""
-    return mock.patch.object(pla._fork, "_CGROUP_ROOT", Path(os.devnull, "cgroup"))
-
-
-@contextlib.contextmanager
-def _split(cpus=3):
-    """Cut every body of ``cpus`` or more bytes into ``cpus`` spans."""
-    assert threading.active_count() == 1, "a body is split only in a lone thread"
-    with mock.patch.object(pla.ingest, "_SPAN_FLOOR", 1), mock.patch.object(
-        os, "sched_getaffinity", return_value=set(range(cpus)), create=True
-    ), _no_quota():
-        yield
-
-
-def _no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @settings(max_examples=200, deadline=None)
 @given(csv_texts(), st.booleans(), st.sampled_from(["fail", "drop-row"]))
 # spans "1,2", "3,4", "5,6": the first span is the row right after the header
@@ -263,9 +243,9 @@ def test_split_load_csv_matches_the_row_reader(
     tmp_path_factory, case, has_header, na_policy
 ):
     path = tmp_path_factory.getbasetemp() / "split.csv"
-    with _split():
+    with split_work():
         _matches_the_row_reader(path, case, has_header, na_policy)
-    _no_children_left()
+    no_children_left()
 
 
 class TestSplitBody:
@@ -274,19 +254,18 @@ class TestSplitBody:
     def test_spans_end_just_after_a_newline(self, tmp_path):
         path = _write(tmp_path, self.TEXT + "\n\n17,18\n")
         # the body is 20 bytes; each cut ends the line holding byte 6 or 13 of it
-        with _split(), path.open("rb") as fh:
+        with split_work(), path.open("rb") as fh:
             fh.seek(4)
             assert pla.ingest._cuts(fh) == [4, 12, 17, 24]
 
     def test_clean_body_is_parsed_in_forked_children(self, tmp_path):
         path = _write(tmp_path, self.TEXT)
-        with _split(), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+        with split_work(), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
                 mock.patch.object(pla.ingest, "_read_rows", side_effect=AssertionError):
             data = load_csv(path)
         assert fork.call_count == 2
         np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [5, 6]])
         assert data.variable_names == ("a", "b")
-        _no_children_left()
 
     def test_a_failing_child_leaves_the_error_to_the_row_reader(
         self, tmp_path, monkeypatch
@@ -300,20 +279,36 @@ class TestSplitBody:
 
         monkeypatch.setattr(pla.ingest, "_parse_span", crash_in_child)
         path = _write(tmp_path, self.TEXT.replace("5,6", "5,x"))
-        with _split(), pytest.raises(ParseError) as info:
+        with split_work(), pytest.raises(ParseError) as info:
             load_csv(path)
         assert str(info.value) == f"{path}:4: non-numeric cell under na_policy=fail"
-        _no_children_left()
         # a clean span whose child failed is parsed again here, not row by row
         path = _write(tmp_path, self.TEXT, name="clean.csv")
-        with _split(), mock.patch.object(
+        with split_work(), mock.patch.object(
             pla.ingest, "_read_rows", wraps=pla.ingest._read_rows
         ) as read_rows:
             data = load_csv(path)
         assert read_rows.call_count == 0
         np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [5, 6]])
-        _no_children_left()
 
+    def test_a_refused_span_sends_the_file_to_the_row_reader_at_once(self, tmp_path, monkeypatch):
+        calls, parse_span = tmp_path / "calls.txt", pla.ingest._parse_span
+
+        def logged(path, delimiter, lo, hi):  # one line per call, from any process
+            with open(calls, "a") as fh:
+                fh.write(f"{lo}\n")
+            return parse_span(path, delimiter, lo, hi)
+
+        monkeypatch.setattr(pla.ingest, "_parse_span", logged)
+        path = _write(tmp_path, self.TEXT.replace("5,6", "5,NA"))
+        # spans "1,2\n3,4\n" from byte 4, here, and "5,NA\n" from byte 12, in a child
+        with split_work(2), mock.patch.object(
+            pla.ingest, "_read_rows", wraps=pla.ingest._read_rows
+        ) as read_rows:
+            data = load_csv(path, na_policy="drop-row")
+        assert sorted(map(int, calls.read_text().split())) == [4, 12]
+        assert read_rows.call_count == 1
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4]])
 
     # 30000 rows: each child's reply, about 160 kB, outgrows a pipe's 64 KiB buffer
     @pytest.mark.parametrize("cpus, bad", [(2, 0), (3, 10_010)])
@@ -336,7 +331,7 @@ class TestSplitBody:
         previous = signal.signal(signal.SIGALRM, kill_children)
         signal.alarm(30)
         try:
-            with _split(cpus), mock.patch.object(os, "fork", recorded_fork), \
+            with split_work(cpus), mock.patch.object(os, "fork", recorded_fork), \
                     pytest.raises(ParseError) as info:
                 load_csv(path)
         finally:
@@ -344,7 +339,6 @@ class TestSplitBody:
             signal.signal(signal.SIGALRM, previous)
         assert not hung
         assert str(info.value) == f"{path}:{bad + 2}: non-numeric cell under na_policy=fail"
-        _no_children_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -355,10 +349,9 @@ def test_every_line_end_takes_the_fast_path(tmp_path, ends, cpus):
     path = _write(tmp_path, text)
     with mock.patch.object(pla.ingest, "_load_body", return_value=None):
         want = _outcome(path)
-    with _split(cpus), mock.patch.object(pla.ingest, "_read_rows", side_effect=AssertionError):
+    with split_work(cpus), mock.patch.object(pla.ingest, "_read_rows", side_effect=AssertionError):
         assert _outcome(path) == want
     assert want[1] == (5, 2)
-    _no_children_left()
 
 
 @pytest.mark.parametrize("delimiter", ["\n", "\r"])
@@ -367,6 +360,27 @@ def test_newline_delimiter_matches_the_row_reader(tmp_path, delimiter):
     got = _outcome(path, delimiter=delimiter)
     with mock.patch.object(pla.ingest, "_load_body", return_value=None):
         assert got == _outcome(path, delimiter=delimiter)
+
+
+@pytest.mark.parametrize(
+    "source", ["split", "one span", "row reader", "DataMatrix", "covariance", "cli"]
+)
+def test_unnamed_variables_are_x1_to_xm(tmp_path, capsys, source):
+    rows = "1,2,4\n3,5,7\n6,1,2\n2,8,1\n"
+    path = _write(tmp_path, rows.replace("1", '"1"', 1) if source == "row reader" else rows)
+    if source == "cli":
+        assert main(["analyze", "--input", str(path), "--no-header"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        names = tuple(sorted([*report["residual"], *(v for b in report["blocks"]
+                                                       for v in b["variables"])]))
+    elif source in ("DataMatrix", "covariance"):
+        data = DataMatrix(np.loadtxt(path, delimiter=","))
+        names = (data if source == "DataMatrix" else run_pla(sample_covariance(data))
+                 ).variable_names
+    else:  # the row reader takes over where numpy refuses the quoted cell
+        with split_work(3 if source == "split" else 1):
+            names = load_csv(path, has_header=False).variable_names
+    assert names == ("X1", "X2", "X3")
 
 
 class TestDataMatrixInvariants:

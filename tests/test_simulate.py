@@ -5,11 +5,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import (PINNED, Planted, blas_pinned, blas_unpinned, cpus, no_children_left,
+                      split_work)
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ingest import _no_children_left, _no_quota
 
-import pla._fork
 import pla.core
 import pla.simulate
 from pla import (
@@ -201,23 +201,6 @@ class TestDrawCovariance:
         assert lo <= rows_hi and rows_lo <= hi
 
 
-with pla._fork.one_blas_thread() as PINNED:  # else the Monte Carlo runs in one process
-    pass
-
-
-class _Planted(Exception):
-    pass
-
-
-@contextlib.contextmanager
-def _cpus(count):
-    """``count`` usable CPUs, and a process for every iteration they allow."""
-    with mock.patch.object(
-        os, "sched_getaffinity", return_value=set(range(count)), create=True
-    ), mock.patch.object(pla.simulate, "_RANGE_WORK", 1), _no_quota():
-        yield
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 4),
@@ -230,65 +213,49 @@ def test_the_estimate_does_not_depend_on_the_cpu_count(
     cpus, iterations, seed, scenario, mode
 ):
     s = spec(scenario=scenario, count=2, mode=mode)
-    with _cpus(1):
+    with split_work(1):
         serial = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=seed))
-    with _cpus(cpus), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+    with split_work(cpus), mock.patch.object(os, "fork", wraps=os.fork) as fork:
         got = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=seed))
     assert got == serial
     assert fork.call_count == (min(cpus, iterations) - 1) * PINNED
-    _no_children_left()
-
-
-@contextlib.contextmanager
-def _blas_pinned():
-    """Stands in for one_blas_thread where BLAS could be pinned."""
-    yield True
+    no_children_left()
 
 
 def _no_fork():
     raise AssertionError("no process should be forked")
 
 
-class TestWorkerCount:
+class TestRangeCount:
     @pytest.fixture(autouse=True)
-    def _every_iteration_may_fork(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_pinned)
+    def _every_iteration_may_fork(self, monkeypatch):
+        monkeypatch.setattr(pla.simulate, "one_blas_thread", blas_pinned)
         monkeypatch.setattr(pla.simulate, "_RANGE_WORK", 1)
-        monkeypatch.setattr(pla._fork, "_CGROUP_ROOT", tmp_path)  # no quota
 
-    @pytest.mark.parametrize("cpus, iterations", [(1, 3), (8, 1), (None, 3)])
-    def test_single_effective_worker_starts_no_pool(self, monkeypatch, cpus, iterations):
-        if cpus is None:  # the CPU set is unknown
+    @pytest.mark.parametrize("count, iterations", [(1, 3), (8, 1), (None, 3)])
+    def test_a_lone_range_forks_nothing(self, monkeypatch, count, iterations):
+        if count is None:  # the CPU set is unknown, so no quota is read
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        else:
-            monkeypatch.setattr(
-                os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
-            )
         s = spec(n_sample=200)
-        seq = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=2))
-        monkeypatch.setattr(os, "fork", _no_fork)
-        got = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=2))
+        with cpus(count) if count else contextlib.nullcontext():
+            seq = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=2))
+            monkeypatch.setattr(os, "fork", _no_fork)
+            got = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=2))
         assert got == seq
 
-    def test_pool_size_is_clamped(self, monkeypatch):
+    def test_there_are_no_more_ranges_than_cpus_or_iterations(self, monkeypatch):
         sizes = []
 
-        def inline_fork_map(fn, tasks):  # records the process count, runs in-process
+        def inline_fork_map(fn, tasks):  # records the range count, runs in-process
             sizes.append(len(tasks))
             return [fn(task) for task in tasks]
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(pla.simulate, "fork_map", inline_fork_map)
         s = spec(n_sample=200)
-        type_one_error(s, MonteCarloSpec(iterations=5, master_seed=2))
-        type_one_error(s, MonteCarloSpec(iterations=2, master_seed=2))
+        with cpus(3):
+            type_one_error(s, MonteCarloSpec(iterations=5, master_seed=2))
+            type_one_error(s, MonteCarloSpec(iterations=2, master_seed=2))
         assert sizes == [3, 2]
-
-
-@contextlib.contextmanager
-def _blas_unpinned():
-    """Stands in for one_blas_thread where no settable OpenBLAS was found."""
-    yield False
 
 
 class TestRangeFloor:
@@ -297,27 +264,25 @@ class TestRangeFloor:
     @pytest.mark.parametrize(
         "m, iterations, forks", [(200, 10, 1), (20, 10, 0), (20, 31, 0), (20, 32, 1)]
     )
-    def test_the_floor_shrinks_as_m_grows(self, monkeypatch, m, iterations, forks):
+    def test_the_floor_shrinks_as_m_grows(self, m, iterations, forks):
         s = spec(m_total=m, n_sample=500)
-        with _cpus(1):
+        with split_work(1):
             serial = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=6))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        with _no_quota(), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        with cpus(2), mock.patch.object(os, "fork", wraps=os.fork) as fork:
             got = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=6))
         assert got == serial
         assert fork.call_count == forks * PINNED
-        _no_children_left()
 
 
 class TestBlasFallback:
     @pytest.fixture(autouse=True)
     def _two_cpus(self):
-        with _cpus(2):
+        with split_work(2):
             yield
 
     def test_a_run_that_cannot_pin_blas_warns(self, monkeypatch):
-        monkeypatch.setattr(pla.simulate, "one_blas_thread", _blas_unpinned)
-        with _cpus(1):
+        monkeypatch.setattr(pla.simulate, "one_blas_thread", blas_unpinned)
+        with split_work(1):
             serial = type_one_error(spec(), MonteCarloSpec(iterations=4, master_seed=7))
         monkeypatch.setattr(os, "fork", _no_fork)
         with pytest.warns(RuntimeWarning, match="runs in one process"):
@@ -346,31 +311,29 @@ class TestForkedRanges:
 
         def failing(spec, master_seed, s):
             if s == 4:  # in the first child's range, 3 to 6
-                raise _Planted(s)
+                raise Planted(s)
             return run_iteration(spec, master_seed, s)
 
         monkeypatch.setattr(pla.simulate, "_run_iteration", failing)
-        with _cpus(3), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
-                pytest.raises(_Planted):
+        with split_work(3), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+                pytest.raises(Planted):
             type_one_error(spec(), MonteCarloSpec(iterations=9))
         assert fork.call_count == 2 * PINNED
-        _no_children_left()
 
     def test_a_range_whose_child_failed_runs_again_here(self, monkeypatch):
         parent, run_iteration = os.getpid(), pla.simulate._run_iteration
 
         def failing_in_children(*args):
             if os.getpid() != parent:
-                raise _Planted
+                raise Planted
             return run_iteration(*args)
 
-        with _cpus(1):
+        with split_work(1):
             serial = type_one_error(spec(), MonteCarloSpec(iterations=9, master_seed=4))
         monkeypatch.setattr(pla.simulate, "_run_iteration", failing_in_children)
-        with _cpus(3):
+        with split_work(3):
             got = type_one_error(spec(), MonteCarloSpec(iterations=9, master_seed=4))
         assert got == serial
-        _no_children_left()
 
 
 class TestTypeOneError:
@@ -388,31 +351,23 @@ class TestTypeOneError:
 
     def test_workers_match_sequential(self):
         s = spec(n_sample=500)
-        with _cpus(1):
+        with split_work(1):
             seq = type_one_error(s, MonteCarloSpec(iterations=16, master_seed=5))
-        with _cpus(2):
+        with split_work(2):
             par = type_one_error(s, MonteCarloSpec(iterations=16, master_seed=5))
         assert seq == par
 
-    def test_iterations_draw_no_rows(self, monkeypatch):
+    def test_iterations_draw_no_rows(self):
         # Each iteration: one drawn covariance, no np.cov, and one eigh, of
         # the correlation or of the covariance, whichever detection reads.
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(np, "cov", counted("cov", np.cov))
-        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         for mode in pla.core.MODES:
-            calls = {"cov": 0, "eigh": 0}
-            est = type_one_error(
-                spec(n_sample=500, mode=mode), MonteCarloSpec(iterations=3)
-            )
+            with mock.patch.object(np, "cov", wraps=np.cov) as cov, \
+                    mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+                est = type_one_error(
+                    spec(n_sample=500, mode=mode), MonteCarloSpec(iterations=3)
+                )
             assert est.numerical_failures == 0
-            assert calls == {"cov": 0, "eigh": 3}, mode
+            assert (cov.call_count, eigh.call_count) == (0, 3), mode
 
     def test_iterations_do_not_score(self, monkeypatch):
         # The Type I error reads only the partition: no explained variance,
