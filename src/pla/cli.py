@@ -124,16 +124,19 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze", help="run PLA on a CSV dataset")
+    p.set_defaults(run=_cmd_analyze)
     _input_flags(p)
     _pla_flags(p)
     _report_flags(p)
 
     p = subs.add_parser("discard", help="analyze and write the reduced dataset")
+    p.set_defaults(run=_cmd_discard)
     _input_flags(p)
     _pla_flags(p)
     p.add_argument("--out", required=True, help="output CSV for the kept columns")
 
     p = subs.add_parser("bound", help="eigengap perturbation bound diagnostic")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("--matrix", required=True, help="CSV of the symmetric base matrix")
     p.add_argument("--kind", default="covariance", choices=KINDS)
     p.add_argument("--delta", required=True, help="CSV of the symmetric perturbation")
@@ -141,6 +144,7 @@ def build_parser() -> _Parser:
     _report_flags(p)
 
     p = subs.add_parser("sensitivity", help="variance-sensitivity finite differences")
+    p.set_defaults(run=_cmd_sensitivity)
     p.add_argument("--matrix", required=True, help="CSV of the symmetric covariance")
     p.add_argument("--variable", type=int, required=True, help="0-based variable index")
     p.add_argument("--increments", required=True,
@@ -148,6 +152,7 @@ def build_parser() -> _Parser:
     _report_flags(p)
 
     p = subs.add_parser("simulate", help="Type-I-error Monte Carlo for one scenario")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--k", "--kappa", dest="count", type=int, required=True)
@@ -160,6 +165,7 @@ def build_parser() -> _Parser:
     _report_flags(p)
 
     p = subs.add_parser("reproduce-table", help="Type-I-error grid as CSV")
+    p.set_defaults(run=_cmd_reproduce_table)
     p.add_argument("--table", required=True, choices=tuple(TABLE_GRIDS))
     p.add_argument("--M", type=int, action="append")
     p.add_argument("--k", "--kappa", dest="count", type=int, action="append")
@@ -283,16 +289,6 @@ def _cmd_reproduce_table(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "discard": _cmd_discard,
-    "bound": _cmd_bound,
-    "sensitivity": _cmd_sensitivity,
-    "simulate": _cmd_simulate,
-    "reproduce-table": _cmd_reproduce_table,
-}
-
-
 def main(argv=None) -> int:
     """Run one command; ``argv`` defaults to ``sys.argv[1:]``.
 
@@ -308,7 +304,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: _warn(str(message))
         try:
             args = parser.parse_args(argv)
-            return _COMMANDS[args.command](args)
+            return args.run(args)
         except ConfigError as exc:
             return _report_error(EXIT_USAGE, exc)
         except (DataError, OSError, UnicodeDecodeError, MemoryError) as exc:

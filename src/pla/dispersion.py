@@ -70,10 +70,8 @@ class DispersionMatrix:
             raise ConfigError(f"unknown dispersion kind {self.kind!r}")
         if not np.all(np.isfinite(entries)):
             raise NumericalError(f"{self.kind} matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(entries).max()))
-        with np.errstate(over="ignore"):  # an infinite asymmetry is rejected
-            dev = float(np.abs(entries - entries.T).max())
-        if dev > SYMMETRY_TOL * scale:
+        dev = asymmetry(entries)
+        if dev:
             raise SymmetryError(f"{self.kind}: asymmetry {dev:.3e} exceeds tolerance")
         try:
             eigvals, eigvecs = np.linalg.eigh(entries)
@@ -97,6 +95,14 @@ class DispersionMatrix:
         object.__setattr__(
             self, "eigensystem", _canonical_eigensystem(eigvals, eigvecs)
         )
+
+
+def asymmetry(x: np.ndarray) -> float:
+    """max|x - x^T| where it exceeds SYMMETRY_TOL * max(1, max|x|), else 0; x is finite."""
+    scale = max(1.0, float(np.abs(x).max()))
+    with np.errstate(over="ignore"):  # an infinite asymmetry is rejected
+        dev = float(np.abs(x - x.T).max())
+    return dev if dev > SYMMETRY_TOL * scale else 0.0
 
 
 def sample_covariance(data: DataMatrix) -> DispersionMatrix:

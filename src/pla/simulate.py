@@ -30,7 +30,6 @@ from .errors import ConfigError, DimensionError, FactorizationError, PlaError
 __all__ = [
     "ScenarioSpec",
     "MonteCarloSpec",
-    "PopulationModel",
     "ErrorEstimate",
     "generate_population",
     "draw_covariance",
@@ -99,6 +98,11 @@ class ScenarioSpec:
                 f"epsilon_scale must be finite and >= 0, got {self.epsilon_scale}"
             )
 
+    @property
+    def planted(self) -> range:
+        """Indices of the planted variables: the last ``count`` of the M."""
+        return range(self.m_total - self.count, self.m_total)
+
 
 @dataclass(frozen=True)
 class MonteCarloSpec:
@@ -112,14 +116,6 @@ class MonteCarloSpec:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
-
-
-@dataclass(frozen=True)
-class PopulationModel:
-    """Mean-zero Gaussian population with an explicit covariance."""
-
-    covariance: np.ndarray
-    planted: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -146,14 +142,13 @@ def _one_factor_block(size: int, loading_range: tuple[float, float], rng) -> np.
     return block
 
 
-def generate_population(spec: ScenarioSpec, seed) -> PopulationModel:
-    """Build the planted covariance: correlated core first, planted part last."""
+def generate_population(spec: ScenarioSpec, seed) -> np.ndarray:
+    """Population covariance for ``spec``: correlated core first, plant at ``spec.planted``."""
     rng = np.random.default_rng(seed)
-    m = spec.m_total
-    plant = spec.count
-    core = m - plant
+    core = spec.planted.start
+    plant = len(spec.planted)
 
-    cov = np.zeros((m, m))
+    cov = np.zeros((spec.m_total, spec.m_total))
     cov[:core, :core] = _one_factor_block(core, CORE_LOADING_RANGE, rng)
     if spec.scenario == "single-vars":
         cov[core:, core:] = np.eye(plant)
@@ -164,25 +159,26 @@ def generate_population(spec: ScenarioSpec, seed) -> PopulationModel:
         cov[:core, core:] = eps
         cov[core:, :core] = eps.T
 
-    return PopulationModel(covariance=cov, planted=tuple(range(core, m)))
+    return cov
 
 
-def draw_covariance(pop: PopulationModel, n: int, seed) -> np.ndarray:
+def draw_covariance(covariance: np.ndarray, n: int, seed) -> np.ndarray:
     """Sample covariance of n Gaussian rows, drawn without drawing the rows.
 
-    With Sigma = L L^T and df = n - 1, the Bartlett decomposition (Smith &
-    Hocking 1972, Algorithm AS 53) gives df * S = (L A)(L A)^T, where A is
-    M x min(df, M), lower trapezoidal, with sqrt(chi2(df - i)) on the
-    diagonal and N(0, 1) entries below it.  When df < M this is the rank-df
-    matrix that n rows would give.  Costs O(M^3), not O(n M^2); same
+    With the population covariance Sigma = ``covariance`` = L L^T (as from
+    ``generate_population``) and df = n - 1, the Bartlett decomposition
+    (Smith & Hocking 1972, Algorithm AS 53) gives df * S = (L A)(L A)^T,
+    where A is M x min(df, M), lower trapezoidal, with sqrt(chi2(df - i)) on
+    the diagonal and N(0, 1) entries below it.  When df < M this is the
+    rank-df matrix that n rows would give.  Costs O(M^3), not O(n M^2); same
     distribution as the sample covariance of n rows drawn as ``Z L^T``, but
-    a different random stream, and returned unvalidated as an array: a
-    Gram matrix is PSD by construction.
+    a different random stream, and returned unvalidated as an array: a Gram
+    matrix is PSD by construction.
     """
     if n < 2:
         raise DimensionError("sample covariance needs at least 2 observations")
     try:
-        chol = np.linalg.cholesky(pop.covariance)
+        chol = np.linalg.cholesky(covariance)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(
             f"population covariance is not positive definite: {exc}"
@@ -198,8 +194,8 @@ def draw_covariance(pop: PopulationModel, n: int, seed) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def _recovered(partition, planted: tuple[int, ...], scenario: str) -> bool:
-    """Did the detection step lead to a drop of the planted variables?
+def _recovered(partition, spec: ScenarioSpec) -> bool:
+    """Did the detection step lead to a drop of ``spec.planted``?
 
     single-vars: every planted variable sits in a balanced block made up of
     planted variables only (uncorrelated singletons have identical unit
@@ -207,15 +203,15 @@ def _recovered(partition, planted: tuple[int, ...], scenario: str) -> bool:
     block; they are still separated from the core and dropped together).
     one-block: the planted variables form exactly one block.
     """
-    planted_set = set(planted)
-    if scenario == "single-vars":
+    planted = set(spec.planted)
+    if spec.scenario == "single-vars":
         covered = set()
         for b in partition.blocks:
             vars_ = set(b.variables)
-            if vars_ <= planted_set:
+            if vars_ <= planted:
                 covered |= vars_
-        return covered == planted_set
-    return tuple(planted) in {b.variables for b in partition.blocks}
+        return covered == planted
+    return tuple(spec.planted) in {b.variables for b in partition.blocks}
 
 
 def _iteration_seeds(master_seed: int, s: int):
@@ -239,7 +235,7 @@ def _run_iteration(spec: ScenarioSpec, master_seed: int, s: int) -> tuple[bool, 
         partition = _detect(matrix.eigensystem, spec.mode, spec.tau)
     except (PlaError, np.linalg.LinAlgError):
         return False, True
-    return _recovered(partition, pop.planted, spec.scenario), False
+    return _recovered(partition, spec), False
 
 
 def _wilson_ci95(failures: int, n: int) -> tuple[float, float]:
@@ -256,13 +252,11 @@ def type_one_error(spec: ScenarioSpec, mc: MonteCarloSpec) -> ErrorEstimate:
 
     Each iteration regenerates a fresh population, draws the sample
     covariance of ``spec.n_sample`` Gaussian rows (``draw_covariance``), and
-    runs only the detection step on it (one ``eigh``); success means every
-    planted variable lies in a block made only of planted variables
-    (single-vars: the singletons may share one block, see ``_recovered``) or
-    the planted variables form exactly one block (one-block).  Per-iteration
-    seeds are derived from the master seed, and BLAS runs on one thread, so
-    the estimate does not depend on the process count.  ``range(S)`` is cut
-    into one contiguous range per usable CPU, as few as give each at least
+    runs only the detection step on it (one ``eigh``); ``_recovered`` says
+    whether that isolated ``spec.planted``.  Per-iteration seeds are derived
+    from the master seed, and BLAS runs on one thread, so the estimate does
+    not depend on the process count.  ``range(S)`` is cut into one
+    contiguous range per usable CPU, as few as give each at least
     ceil(``_RANGE_WORK`` / M) iterations (``_fork.even_cuts``); the first
     runs here and each other in a forked child (``_fork.fork_map``).  Where
     ``one_blas_thread`` cannot pin BLAS, one process runs them all; for want

@@ -386,10 +386,10 @@ class TestSimulate:
     def test_out_of_memory_is_one_json_line(self, cpus, monkeypatch, capsys):
         draw = pla.simulate.draw_covariance
 
-        def short_of_memory(pop, n, seed):
+        def short_of_memory(covariance, n, seed):
             if seed.entropy[1] == 3:  # iteration 3: on 2 CPUs, in the forked range 2 to 4
                 raise MemoryError("Unable to allocate 8 GiB")
-            return draw(pop, n, seed)
+            return draw(covariance, n, seed)
 
         monkeypatch.setattr(pla.simulate, "draw_covariance", short_of_memory)
         monkeypatch.setattr(pla.simulate, "one_blas_thread", blas_pinned)

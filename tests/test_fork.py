@@ -12,7 +12,7 @@ import pla.ingest
 import pla.simulate
 from pla import MonteCarloSpec, ScenarioSpec, load_csv, type_one_error
 from pla.cli import main
-from conftest import PINNED, Planted, cpus, split_work
+from conftest import PINNED, Planted, cpus
 
 
 @pytest.fixture
@@ -206,13 +206,3 @@ class TestRefusedFork:
             refused = run(2)
         assert fork.call_count == PINNED
         assert (refused.out, refused.err) == (one_cpu.out, one_cpu.err) == (one_cpu.out, "")
-
-    def test_load_csv_parses_the_span_here(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("a,b\n1,2\n3,4\n5,6\n")
-        with split_work(), mock.patch.object(os, "fork", side_effect=_refused_fork) as fork, \
-                mock.patch.object(pla.ingest, "_read_rows", side_effect=AssertionError):
-            data = load_csv(path)
-        assert fork.call_count == 2
-        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [5, 6]])
-        assert data.variable_names == ("a", "b")

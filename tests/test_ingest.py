@@ -258,9 +258,11 @@ class TestSplitBody:
             fh.seek(4)
             assert pla.ingest._cuts(fh) == [4, 12, 17, 24]
 
-    def test_clean_body_is_parsed_in_forked_children(self, tmp_path):
+    @pytest.mark.parametrize("fork_patch", [dict(wraps=os.fork), dict(side_effect=BlockingIOError)],
+                             ids=["forked", "refused"])
+    def test_clean_body_is_parsed_span_by_span(self, tmp_path, fork_patch):
         path = _write(tmp_path, self.TEXT)
-        with split_work(), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+        with split_work(), mock.patch.object(os, "fork", **fork_patch) as fork, \
                 mock.patch.object(pla.ingest, "_read_rows", side_effect=AssertionError):
             data = load_csv(path)
         assert fork.call_count == 2

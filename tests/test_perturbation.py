@@ -1,8 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from pla import (
-    BoundDiagnostic,
     ConfigError,
     DispersionMatrix,
     NumericalError,
@@ -10,6 +11,7 @@ from pla import (
     eigengap_bound,
     variance_sensitivity,
 )
+from pla.dispersion import SYMMETRY_TOL
 
 
 def measured_sup_change(base, delta):
@@ -37,6 +39,21 @@ class TestPerturbationPair:
         base = DispersionMatrix(np.eye(2), "covariance")
         with pytest.raises(SymmetryError):
             eigengap_bound(base, np.array([[0.0, 0.1], [0.0, 0.0]]), tau=0.2)
+
+    @pytest.mark.parametrize(
+        "x, refused",
+        [(scale * np.array([[1.0, factor * SYMMETRY_TOL], [0.0, 1.0]]), factor > 1)
+         for scale in (1.0, 1e6) for factor in (0.99, 1.01)]
+        + [(np.array([[0.0, 1e308], [-1e308, 0.0]]), True)],
+        ids=["1-below", "1-above", "1e6-below", "1e6-above", "overflow"],
+    )
+    def test_a_matrix_and_a_delta_share_one_symmetry_tolerance(self, x, refused):
+        # both allow SYMMETRY_TOL * max(1, max|x|); an overflowing asymmetry is refused
+        base = DispersionMatrix(np.eye(2), "covariance")
+        for check in (lambda: DispersionMatrix(x, "covariance"),
+                      lambda: eigengap_bound(base, x, tau=0.2)):
+            with pytest.raises(SymmetryError) if refused else contextlib.nullcontext():
+                check()
 
     @pytest.mark.parametrize(
         "delta",

@@ -17,11 +17,9 @@ from pla import (
     DataMatrix,
     DimensionError,
     DispersionMatrix,
-    ErrorEstimate,
     FactorizationError,
     MonteCarloSpec,
     PlaConfig,
-    PopulationModel,
     ScenarioSpec,
     draw_covariance,
     generate_population,
@@ -66,23 +64,21 @@ class TestScenarioSpec:
 
 class TestGeneratePopulation:
     def test_single_vars_structure(self):
-        pop = generate_population(spec(count=2), seed=1)
-        cov = pop.covariance
-        assert pop.planted == (4, 5)
+        s = spec(count=2)
+        cov = generate_population(s, seed=1)
+        assert s.planted == range(4, 6)
         # planted singletons: unit variance, zero covariance everywhere
-        np.testing.assert_array_equal(cov[4:, 4:], np.eye(2))
+        np.testing.assert_array_equal(cov[np.ix_(s.planted, s.planted)], np.eye(2))
         np.testing.assert_array_equal(cov[:4, 4:], np.zeros((4, 2)))
         # core is a unit-diagonal correlated block
         np.testing.assert_array_equal(np.diag(cov), np.ones(6))
         assert np.abs(cov[:4, :4] - np.eye(4)).max() > 0.05
 
     def test_one_block_structure(self):
-        pop = generate_population(
-            spec(scenario="one-block", count=3, m_total=8), seed=2
-        )
-        cov = pop.covariance
-        assert pop.planted == (5, 6, 7)
-        planted = cov[5:, 5:]
+        s = spec(scenario="one-block", count=3, m_total=8)
+        cov = generate_population(s, seed=2)
+        assert s.planted == range(5, 8)
+        planted = cov[np.ix_(s.planted, s.planted)]
         np.testing.assert_array_equal(np.diag(planted), np.ones(3))
         off = planted[~np.eye(3, dtype=bool)]
         assert np.all(off > 0.5)
@@ -90,27 +86,27 @@ class TestGeneratePopulation:
 
     def test_positive_definite(self):
         for seed in range(10):
-            pop = generate_population(spec(m_total=20, count=1), seed=seed)
-            assert np.linalg.eigvalsh(pop.covariance).min() > 0.0
+            cov = generate_population(spec(m_total=20, count=1), seed=seed)
+            assert np.linalg.eigvalsh(cov).min() > 0.0
 
     def test_epsilon_scale_couples_blocks(self):
-        pop = generate_population(spec(epsilon_scale=0.01), seed=3)
-        assert np.abs(pop.covariance[:5, 5:]).max() > 0.0
+        cov = generate_population(spec(epsilon_scale=0.01), seed=3)
+        assert np.abs(cov[:5, 5:]).max() > 0.0
 
     def test_deterministic(self):
         a = generate_population(spec(), seed=7)
         b = generate_population(spec(), seed=7)
-        assert a.covariance.tobytes() == b.covariance.tobytes()
+        assert a.tobytes() == b.tobytes()
 
 
-def draw_sample(pop, n, seed):
-    """n Gaussian rows with covariance ``pop.covariance``, drawn via Cholesky.
+def draw_sample(covariance, n, seed):
+    """n Gaussian rows with covariance ``covariance``, drawn via Cholesky.
 
     The data-level reference that ``draw_covariance`` is checked against.
     """
-    chol = np.linalg.cholesky(pop.covariance)
+    chol = np.linalg.cholesky(covariance)
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal((n, pop.covariance.shape[0])) @ chol.T
+    values = rng.standard_normal((n, covariance.shape[0])) @ chol.T
     return DataMatrix(values)
 
 
@@ -127,7 +123,7 @@ class TestDrawSample:
         pop = generate_population(spec(m_total=4, count=1), seed=5)
         data = draw_sample(pop, 100_000, seed=11)
         sample_cov = np.cov(data.values, rowvar=False, ddof=1)
-        assert np.abs(sample_cov - pop.covariance).max() < 0.02
+        assert np.abs(sample_cov - pop).max() < 0.02
 
 
 class TestDrawCovariance:
@@ -153,10 +149,9 @@ class TestDrawCovariance:
         # (n-1) S ~ W(Sigma, n-1): E S = Sigma and
         # Var S_ij = (Sigma_ij^2 + Sigma_ii Sigma_jj) / (n-1), also when
         # n - 1 < m and S is singular.
-        pop = generate_population(spec(m_total=m, count=1), seed=m)
-        sigma = pop.covariance
+        sigma = generate_population(spec(m_total=m, count=1), seed=m)
         draws = np.array(
-            [draw_covariance(pop, n, seed=s) for s in range(10_000)]
+            [draw_covariance(sigma, n, seed=s) for s in range(10_000)]
         )
         var = (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / (n - 1)
         se = np.sqrt(var / len(draws))
@@ -171,9 +166,8 @@ class TestDrawCovariance:
             draw_covariance(pop, 1, seed=0)
 
     def test_indefinite_population_is_factorization_error(self):
-        pop = PopulationModel(np.diag([1.0, -1.0]), (1,))
         with pytest.raises(FactorizationError):
-            draw_covariance(pop, 10, seed=0)
+            draw_covariance(np.diag([1.0, -1.0]), 10, seed=0)
 
     @pytest.mark.parametrize(
         "kw",
@@ -193,7 +187,7 @@ class TestDrawCovariance:
             pop_seed, sample_seed = _iteration_seeds(1, i)
             pop = generate_population(s, pop_seed)
             report = run_pla(draw_sample(pop, s.n_sample, sample_seed), config)
-            row_failures += not _recovered(report.partition, pop.planted, s.scenario)
+            row_failures += not _recovered(report.partition, s)
         rows_lo, rows_hi = _wilson_ci95(row_failures, iterations)
         est = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=1))
         lo, hi = est.wilson_ci95
