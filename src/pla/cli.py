@@ -62,20 +62,16 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(rendered)
 
 
-def _render_text(payload: dict, indent: int = 0) -> str:
-    pad = "  " * indent
+def _render_text(payload: dict) -> str:
     lines = []
     for key, value in payload.items():
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            lines.append(_render_text(value, indent + 1))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            for i, item in enumerate(value):
-                lines.append(f"{pad}{key}[{i}]:")
-                lines.append(_render_text(item, indent + 1))
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            for i, item in enumerate(value):  # a block: scalars and lists of scalars
+                lines.append(f"{key}[{i}]:")
+                lines.extend(f"  {k}: {v}" for k, v in item.items())
         else:
-            lines.append(f"{pad}{key}: {value}")
-    return "\n".join(lines) + ("\n" if indent == 0 else "")
+            lines.append(f"{key}: {value}")
+    return "\n".join(lines) + "\n"
 
 
 def _json_float(x) -> float | None:

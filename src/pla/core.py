@@ -88,7 +88,7 @@ class Block:
     variables: tuple[int, ...]
     eigen_indices: tuple[int, ...]
     ev_exact: float | None = None
-    ev_approx: float | None = None
+    ev_approx: float | None = None  # None where the covariance eigenvalue count differs
     discardable: bool = False
 
 
@@ -298,21 +298,25 @@ def run_pla(data_or_matrix, config: PlaConfig | None = None) -> PlaReport:
     scored = []
     for pos, block in enumerate(partition.blocks):
         exact = explained_variance_exact(block, cov_es)
-        approx = explained_variance_approx(
-            block if cov_indices is None
-            else replace(block, eigen_indices=cov_indices[pos]),
-            cov_es,
-        )
+        matched = block if cov_indices is None else replace(block, eigen_indices=cov_indices[pos])
+        approx = (explained_variance_approx(matched, cov_es)
+                  if len(matched.eigen_indices) == len(block.variables) else None)
         chosen = exact if config.ev_formula == "exact" else approx
         scored.append(
             replace(
                 block,
                 ev_exact=exact,
                 ev_approx=approx,
-                discardable=chosen <= config.ev_cutoff,
+                discardable=chosen is not None and chosen <= config.ev_cutoff,
             )
         )
     partition = replace(partition, blocks=tuple(scored))
+    unmatched = [names[i] for b in partition.blocks if b.ev_approx is None for i in b.variables]
+    if unmatched:
+        warnings.append(
+            "covariance eigenvalue count differs from block size; "
+            "ev_approx is null for: " + ", ".join(unmatched)
+        )
 
     recommendation = tuple(
         names[i]

@@ -55,7 +55,8 @@ class DispersionMatrix:
     form, as ``eigensystem``.  There the eigenvalues are non-increasing,
     small negative values within the PSD tolerance are clamped to zero, and
     in each eigenvector the entry of largest magnitude (lowest index on
-    ties) is positive.
+    ties) is positive.  ``entries`` is the given lower triangle, which ``eigh``
+    reads, mirrored into a read-only array of its own.
     """
 
     entries: np.ndarray
@@ -73,6 +74,8 @@ class DispersionMatrix:
         dev = asymmetry(entries)
         if dev:
             raise SymmetryError(f"{self.kind}: asymmetry {dev:.3e} exceeds tolerance")
+        entries = np.where(np.tri(len(entries), dtype=bool), entries, entries.T)
+        entries.flags.writeable = False
         try:
             eigvals, eigvecs = np.linalg.eigh(entries)
         except np.linalg.LinAlgError as exc:
@@ -110,7 +113,6 @@ def sample_covariance(data: DataMatrix) -> DispersionMatrix:
     # Overflow leaves non-finite entries, which DispersionMatrix rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         cov = np.cov(data.values, rowvar=False, ddof=1)
-        cov = (cov + cov.T) / 2.0
     return DispersionMatrix(cov, "covariance")
 
 
@@ -124,8 +126,7 @@ def correlation_from_covariance(
         label = ", ".join(names[i] if names else str(i) for i in zero)
         raise DegenerateColumnError(f"zero-variance column(s): {label}")
     d = np.sqrt(var)
-    corr = entries / np.outer(d, d)
-    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+    corr = np.clip(entries / np.outer(d, d), -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     return DispersionMatrix(corr, "correlation")
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import check_tau
 from .dispersion import DispersionMatrix, asymmetry
-from .errors import ConfigError, NumericalError, SymmetryError
+from .errors import ConfigError, DimensionError, NumericalError, SymmetryError
 
 __all__ = [
     "BoundDiagnostic",
@@ -52,7 +52,7 @@ def eigengap_bound(base: DispersionMatrix, delta, tau: float) -> BoundDiagnostic
     check_tau(tau)
     delta = np.asarray(delta, dtype=float)
     if delta.shape != base.entries.shape:
-        raise SymmetryError(
+        raise DimensionError(
             f"delta shape {delta.shape} does not match base {base.entries.shape}"
         )
     if not np.all(np.isfinite(delta)):
@@ -109,7 +109,7 @@ def variance_sensitivity(
     The probed eigenvector is the one loading most heavily on variable d.
     After each diagonal increment the perturbed system is re-decomposed and
     the eigenvector is re-identified by maximal absolute inner product with
-    the unperturbed one (sign-aligned before differencing).
+    the unperturbed one; only magnitudes are differenced, so its sign is moot.
     """
     if m.kind != "covariance":
         raise ConfigError("variance sensitivity is defined for covariance matrices")
@@ -145,9 +145,8 @@ def variance_sensitivity(
             )
             sign_ok.append(None)
             continue
-        v1 = es.eigenvectors[:, j] * np.sign(overlaps[j])
         with np.errstate(over="ignore"):  # a tiny step can overflow: fd = inf
-            fd = (np.abs(v1) - abs_v0) / mu
+            fd = (np.abs(es.eigenvectors[:, j]) - abs_v0) / mu
         diffs.append(fd)
         errors.append(None)
 

@@ -190,8 +190,7 @@ def draw_covariance(covariance: np.ndarray, n: int, seed) -> np.ndarray:
     a = np.tril(rng.standard_normal((m, k)), -1)
     a[np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(df - np.arange(k)))
     la = chol @ a
-    cov = la @ la.T / df
-    return (cov + cov.T) / 2.0
+    return la @ la.T / df
 
 
 def _recovered(partition, spec: ScenarioSpec) -> bool:

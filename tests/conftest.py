@@ -22,9 +22,24 @@ with pla._fork.one_blas_thread() as PINNED:  # else the Monte Carlo runs in one 
 
 
 def gaussian_sample(cov, n, seed, names=None):
+    """n Gaussian rows with covariance ``cov``, drawn via Cholesky: the data-level
+    reference that ``draw_covariance`` is checked against."""
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((n, cov.shape[0])) @ np.linalg.cholesky(cov).T
     return DataMatrix(values, names or ())
+
+
+def mixed_scale_values(seed):
+    """200 rows of 3 to 8 correlated columns on scales 0.1 to 10; for half the
+    seeds the last two are replaced by a correlated pair on scales 0.01 to 3.
+    Seed 0 gives a correlation-mode block scored with no covariance eigenvalue."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(3, 9)
+    x = rng.standard_normal((200, m)) @ rng.standard_normal((m, m)) * rng.uniform(0.1, 10, size=m)
+    if rng.random() < 0.5:
+        pair = rng.standard_normal((200, 2)) @ [[1, 0.9], [0, 0.4]]
+        x[:, -2:] = pair * rng.uniform(0.01, 3, size=2)
+    return x
 
 
 def random_block_diagonal(rng, sizes, spread=1.0):

@@ -16,7 +16,8 @@ import pla.simulate
 from pla import (DispersionMatrix, ErrorEstimate, MonteCarloSpec, PlaConfig, ScenarioSpec,
                  detect_blocks, eigengap_bound, load_csv, reproduce_table, write_csv)
 from pla.cli import main
-from conftest import BLOCK_3X3, blas_pinned, blas_unpinned, gaussian_sample, split_work
+from conftest import (BLOCK_3X3, blas_pinned, blas_unpinned, gaussian_sample, mixed_scale_values,
+                      split_work)
 from pla.errors import (
     ConfigError,
     ConsistencyError,
@@ -45,6 +46,13 @@ def write_matrix(tmp_path, name, matrix):
         "\n".join(",".join(repr(float(v)) for v in row) for row in matrix) + "\n"
     )
     return str(path)
+
+
+def error_lines(capsys):
+    """stderr's lines as JSON, after checking that nothing reached stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return [json.loads(line) for line in captured.err.splitlines()]
 
 
 class TestAnalyze:
@@ -107,6 +115,35 @@ class TestAnalyze:
     def test_bad_mode_rejected(self, dataset, capsys):
         assert main(["analyze", "--input", dataset, "--mode", "pca"]) == 2
         capsys.readouterr()
+
+    def test_constant_columns_numerical_error(self, tmp_path, capsys):
+        path = tmp_path / "constant.csv"
+        path.write_text("a,b\n1,2\n1,2\n1,2\n")
+        assert main(["analyze", "--input", str(path), "--mode", "covariance"]) == 4
+        assert error_lines(capsys) == [{"code": 4, "message": "eigenvalues sum to zero"}]
+
+    def test_a_block_without_its_count_of_eigenvalues_gets_no_ev_approx(self, tmp_path, capsys):
+        # Detection on the correlation matrix makes X4 a block of its own; matched
+        # by squared mass, the 5-variable block takes six covariance eigenvectors
+        # and X4 none, so neither gets an ev_approx, and X4 is not recommended.
+        path = tmp_path / "mixed.csv"
+        np.savetxt(path, mixed_scale_values(0), fmt="%.17g", delimiter=",")
+        code = main(["analyze", "--input", str(path), "--no-header", "--tau", "0.8",
+                     "--ev-formula", "approx"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        blocks = {tuple(b["variables"]): b for b in report["blocks"]}
+        assert list(blocks) == [("X1", "X2", "X3", "X5", "X6"), ("X4",), ("X7", "X8")]
+        for names in [("X1", "X2", "X3", "X5", "X6"), ("X4",)]:
+            assert blocks[names]["ev_approx"] is None
+            assert blocks[names]["discardable"] is False
+        assert blocks[("X4",)]["ev_exact"] == pytest.approx(0.19618401602225677, rel=1e-12)
+        assert blocks[("X7", "X8")]["ev_approx"] == pytest.approx(0.007243797223171635, rel=1e-12)
+        assert report["recommendation"] == ["X7", "X8"]
+        assert report["warnings"] == [
+            "covariance eigenvalue count differs from block size; "
+            "ev_approx is null for: X1, X2, X3, X5, X6, X4"
+        ]
 
 
 @pytest.mark.parametrize(
@@ -239,6 +276,32 @@ class TestBound:
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 4
 
+    def test_delta_of_another_shape_is_data_error(self, tmp_path, capsys):
+        base = write_matrix(tmp_path, "base.csv", np.eye(3))
+        delta = write_matrix(tmp_path, "d.csv", np.zeros((2, 2)))
+        assert main(["bound", "--matrix", base, "--delta", delta, "--tau", "0.5"]) == 3
+        assert error_lines(capsys) == [
+            {"code": 3, "message": "delta shape (2, 2) does not match base (3, 3)"}
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, matrix, message",
+        [
+            ("covariance", [[1.0, 2.0], [2.0, 1.0]],
+             "covariance matrix is not positive semi-definite (min eigenvalue -1.000e+00)"),
+            ("correlation", [[2.0, 0.0], [0.0, 1.0]], "correlation matrix diagonal is not 1"),
+            ("correlation", [[1.0, 1.0 + 1e-11], [1.0 + 1e-11, 1.0]],
+             "correlation entries exceed 1 in magnitude"),
+        ],
+        ids=["not-psd", "diagonal-2", "entry-above-1"],
+    )
+    def test_invalid_base_matrix_numerical_error(self, kind, matrix, message, tmp_path, capsys):
+        base = write_matrix(tmp_path, "base.csv", np.array(matrix))
+        delta = write_matrix(tmp_path, "d.csv", np.zeros((2, 2)))
+        code = main(["bound", "--matrix", base, "--kind", kind, "--delta", delta, "--tau", "0.5"])
+        assert code == 4
+        assert error_lines(capsys) == [{"code": 4, "message": message}]
+
     def test_matrix_with_byte_order_mark(self, tmp_path, capsys):
         path = tmp_path / "bom.csv"
         path.write_bytes("\ufeff2,0\n0,1\n".encode("utf-8"))
@@ -314,6 +377,28 @@ class TestSensitivity:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_non_numeric_increment_usage_error(self, tmp_path, capsys):
+        m = write_matrix(tmp_path, "m.csv", np.eye(2))
+        code = main(["sensitivity", "--matrix", m, "--variable", "0", "--increments", "0.1,x"])
+        assert code == 2
+        assert error_lines(capsys) == [
+            {"code": 2, "message": "--increments must be comma-separated numbers"}
+        ]
+
+    def test_a_lost_eigenvector_is_a_tracking_error(self, tmp_path, capsys):
+        # a large increment turns the probed eigenvector away from the one it was
+        equicorrelated = np.full((4, 4), 0.99)
+        np.fill_diagonal(equicorrelated, 1.0)
+        m = write_matrix(tmp_path, "m.csv", equicorrelated)
+        code = main(["sensitivity", "--matrix", m, "--variable", "0", "--increments", "100"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["finite_differences"] == [None]
+        assert payload["sign_contract_ok"] == [None]
+        assert payload["tracking_errors"] == [
+            "increment 100: max eigenvector overlap 0.668 below 0.7"
+        ]
 
     def test_variable_out_of_range_usage_error(self, tmp_path, capsys):
         m = write_matrix(tmp_path, "m.csv", np.eye(2))

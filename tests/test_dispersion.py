@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import BLOCK_3X3
 
 from pla import (
     ConfigError,
@@ -10,9 +11,8 @@ from pla import (
     SymmetryError,
     correlation_from_covariance,
     sample_covariance,
+    variance_sensitivity,
 )
-
-BLOCK_3X3 = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, 5.0]])
 
 
 def random_psd(rng, m, scale=1.0):
@@ -65,6 +65,13 @@ class TestSampleCorrelation:
                 sample_covariance(data).entries, data.variable_names
             )
 
+    def test_asymmetric_covariance_array_is_refused(self):
+        # the normalization does not average with the transpose; the matrix
+        # rejects an asymmetry beyond tolerance, as for any correlation
+        cov = np.array([[1.0, 0.5], [0.2, 1.0]])
+        with pytest.raises(SymmetryError, match="correlation: asymmetry 3.000e-01"):
+            correlation_from_covariance(cov)
+
     def test_population_normalization(self):
         # oracle: divide by sqrt(sigma_ii * sigma_jj) by hand
         corr = correlation_from_covariance(BLOCK_3X3)
@@ -99,6 +106,25 @@ class TestEigendecompose:
             es = DispersionMatrix(random_psd(rng, 6), "covariance").eigensystem
             peaks = np.argmax(np.abs(es.eigenvectors), axis=0)
             assert np.all(es.eigenvectors[peaks, np.arange(6)] > 0)
+
+    def test_entries_are_a_read_only_copy(self):
+        # a later write to the caller's array cannot make the eigensystem stale
+        a = np.array([[4.0, 1.0], [1.0, 2.0]])
+        m = DispersionMatrix(a, "covariance")
+        a[0, 0] = 9.0
+        assert m.entries[0, 0] == 4.0
+        assert not m.entries.flags.writeable
+        fresh = DispersionMatrix(np.array([[4.0, 1.0], [1.0, 2.0]]), "covariance")
+        probe, expected = (variance_sensitivity(x, 1, [0.1]) for x in (m, fresh))
+        assert probe.diffs[0].tobytes() == expected.diffs[0].tobytes()
+        assert probe.sign_contract_ok == expected.sign_contract_ok
+
+    def test_entries_mirror_the_lower_triangle(self):
+        # within tolerance, the upper triangle is the lower one's transpose
+        x = np.array([[2.0, 1.0 + 1e-13], [1.0, 3.0]])
+        np.testing.assert_array_equal(
+            DispersionMatrix(x, "covariance").entries, [[2.0, 1.0], [1.0, 3.0]]
+        )
 
     def test_rejects_asymmetric(self):
         m = np.array([[1.0, 0.5], [0.2, 1.0]])

@@ -5,6 +5,7 @@ import pytest
 
 from pla import (
     ConfigError,
+    DimensionError,
     DispersionMatrix,
     NumericalError,
     SymmetryError,
@@ -68,7 +69,7 @@ class TestPerturbationPair:
 
     def test_rejects_shape_mismatch(self):
         base = DispersionMatrix(np.eye(2), "covariance")
-        with pytest.raises(SymmetryError):
+        with pytest.raises(DimensionError, match=r"delta shape \(3, 3\) does not match"):
             eigengap_bound(base, np.zeros((3, 3)), tau=0.2)
 
 

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import mixed_scale_values
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -17,6 +18,7 @@ from pla import (
     PlaConfig,
     correlation_from_covariance,
     detect_blocks,
+    draw_covariance,
     eigengap_bound,
     rescale_eigenvectors,
     run_pla,
@@ -25,6 +27,7 @@ from pla import (
 from pla import cli
 from pla.cli import main
 from pla.core import MODES
+from pla.dispersion import KINDS, SYMMETRY_TOL, _canonical_eigensystem
 from pla.errors import ParseError
 
 taus = st.floats(0.01, 0.99)
@@ -102,6 +105,63 @@ def test_ev_exact_is_the_blocks_trace_share(seed, sizes, mode, tau):
     residual_share = diag[list(report.partition.residual)].sum() / diag.sum()
     shares = sum(b.ev_exact for b in report.partition.blocks) + residual_share
     assert abs(shares - 1.0) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.floats(0.0, 0.9),
+       st.sampled_from(KINDS))
+def test_a_dispersion_matrix_keeps_its_own_mirrored_lower_triangle(
+    m, seed, log_scale, slack, kind
+):
+    # x is PSD, and its upper triangle differs from the lower one's transpose
+    # by up to 90% of the tolerance, which x is accepted with
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m + 1)) * 10.0**log_scale
+    x = a @ a.T.copy()  # a general product, not a symmetric rank-k update
+    if kind == "correlation":
+        sd = np.sqrt(np.diag(x))
+        x = np.clip(x / np.outer(sd, sd), -1.0, 1.0)
+        np.fill_diagonal(x, 1.0)
+    noise = np.triu(rng.uniform(-1.0, 1.0, (m, m)), 1)
+    x += noise * slack * SYMMETRY_TOL * max(1.0, np.abs(x).max())
+    matrix = DispersionMatrix(x, kind)
+    entries = matrix.entries
+    assert entries.tobytes() == entries.T.tobytes()
+    assert not np.shares_memory(entries, x)
+    expected = _canonical_eigensystem(*np.linalg.eigh(x))
+    assert matrix.eigensystem.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+    assert matrix.eigensystem.eigenvectors.tobytes() == expected.eigenvectors.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(2, 100), st.integers(0, 2**32 - 1))
+@example(200, 10_000, 0)  # the paper's largest size
+def test_drawn_and_sample_covariances_are_bitwise_symmetric(m, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m))
+    drawn = draw_covariance(a @ a.T + np.eye(m), n, seed)
+    assert drawn.tobytes() == drawn.T.tobytes()
+    if m >= 2:
+        values = rng.standard_normal((n, m)) * rng.uniform(0.1, 10.0, size=m)
+        sample = sample_covariance(DataMatrix(values)).entries
+        assert sample.tobytes() == sample.T.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("correlation", "correlation-rescaled")), taus)
+@example(0, "correlation-rescaled", 0.8)  # X4 and a 5-variable block
+def test_a_block_without_its_count_of_eigenvalues_is_named_and_kept(seed, mode, tau):
+    config = PlaConfig(tau=tau, mode=mode, ev_formula="approx")
+    report = run_pla(DataMatrix(mixed_scale_values(seed)), config)
+    unmatched = {
+        report.variable_names[i]
+        for b in report.partition.blocks if b.ev_approx is None for i in b.variables
+    }
+    prefix = "covariance eigenvalue count differs from block size; ev_approx is null for: "
+    named = [set(w[len(prefix):].split(", ")) for w in report.warnings if w.startswith(prefix)]
+    assert named == ([unmatched] if unmatched else [])
+    assert not unmatched & set(report.recommendation)
+    assert all(not b.discardable for b in report.partition.blocks if b.ev_approx is None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,7 +257,7 @@ commands = st.sampled_from(
 @example(b"1e155,0\n0,1", BOUND)  # the Frobenius norm of delta overflows
 @example(b"0,1e308\n-1e308,0", BOUND)  # the asymmetry overflows
 @example(b"1e308,1e308\n1e308,1e308", BOUND)  # an eigenvalue overflows
-@example(b"a,b\n8e153,8e153\n-8e153,-8e153", ["analyze"])  # S + S.T overflows
+@example(b"a,b\n8e153,8e153\n-8e153,-8e153", ["analyze"])  # S is finite; its eigenvalue overflows
 def test_cli_answers_malformed_files_with_json_errors(fuzz_dir, text, command):
     path = fuzz_dir / "input.csv"
     path.write_bytes(text)

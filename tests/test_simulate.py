@@ -5,8 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (PINNED, Planted, blas_pinned, blas_unpinned, cpus, no_children_left,
-                      split_work)
+from conftest import (PINNED, Planted, blas_pinned, blas_unpinned, cpus, gaussian_sample,
+                      no_children_left, split_work)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +14,6 @@ import pla.core
 import pla.simulate
 from pla import (
     ConfigError,
-    DataMatrix,
     DimensionError,
     DispersionMatrix,
     FactorizationError,
@@ -99,29 +98,18 @@ class TestGeneratePopulation:
         assert a.tobytes() == b.tobytes()
 
 
-def draw_sample(covariance, n, seed):
-    """n Gaussian rows with covariance ``covariance``, drawn via Cholesky.
-
-    The data-level reference that ``draw_covariance`` is checked against.
-    """
-    chol = np.linalg.cholesky(covariance)
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((n, covariance.shape[0])) @ chol.T
-    return DataMatrix(values)
-
-
 class TestDrawSample:
     def test_shape_and_determinism(self):
         pop = generate_population(spec(), seed=4)
-        a = draw_sample(pop, 50, seed=9)
-        b = draw_sample(pop, 50, seed=9)
+        a = gaussian_sample(pop, 50, seed=9)
+        b = gaussian_sample(pop, 50, seed=9)
         assert a.values.shape == (50, 6)
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_recovers_population_covariance(self):
         # sampling oracle: large-N sample covariance near the population one
         pop = generate_population(spec(m_total=4, count=1), seed=5)
-        data = draw_sample(pop, 100_000, seed=11)
+        data = gaussian_sample(pop, 100_000, seed=11)
         sample_cov = np.cov(data.values, rowvar=False, ddof=1)
         assert np.abs(sample_cov - pop).max() < 0.02
 
@@ -186,7 +174,7 @@ class TestDrawCovariance:
         for i in range(iterations):
             pop_seed, sample_seed = _iteration_seeds(1, i)
             pop = generate_population(s, pop_seed)
-            report = run_pla(draw_sample(pop, s.n_sample, sample_seed), config)
+            report = run_pla(gaussian_sample(pop, s.n_sample, sample_seed), config)
             row_failures += not _recovered(report.partition, s)
         rows_lo, rows_hi = _wilson_ci95(row_failures, iterations)
         est = type_one_error(s, MonteCarloSpec(iterations=iterations, master_seed=1))
