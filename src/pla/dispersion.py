@@ -30,7 +30,7 @@ EIGENVALUE_TIE_TOL = 1e-8
 KINDS = ("covariance", "correlation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Descending eigenvalues with column-orthonormal, sign-fixed eigenvectors."""
 
@@ -46,7 +46,7 @@ class EigenSystem:
         return float(self.eigenvalues.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispersionMatrix:
     """Symmetric PSD M x M matrix tagged as covariance or correlation.
 

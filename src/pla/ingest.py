@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
-import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +20,7 @@ _SPAN_FLOOR = 1 << 20  # bytes; a smaller span saves less than a fork and a pipe
 NA_POLICIES = ("fail", "drop-row")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataMatrix:
     """N observations of M named variables, all entries finite."""
 
@@ -68,16 +68,18 @@ def load_csv(
     lines included.  The file is read as UTF-8; a leading byte-order mark is
     skipped.
 
-    The header is the first non-blank line, split by ``csv.reader``.  The
-    body is cut at line ends into spans of at least 1 MiB, one per usable
-    CPU.  ``np.loadtxt`` parses the first span here and each other in a
-    forked child (``_fork.fork_map``) that pipes back its rows, or None
-    where numpy refuses the span; a span whose child died is parsed again
-    here.  If numpy refuses a span or the widths differ, ``_read_rows``
-    reads the file at once, and no span is parsed again: it alone cites
-    lines in errors and drops non-numeric rows under ``drop-row``.  Rows
-    that are not finite are dropped after either reader.  Without a header
-    ``DataMatrix`` names the variables X1 to XM.
+    The header is the first non-empty ``csv.reader`` record, on one line or
+    more.  The body is cut into even spans of at least 1 MiB, one per usable
+    CPU; a span holds the LF-ended lines that begin in it.  ``np.loadtxt``
+    parses the first span here and each other in a forked child
+    (``_fork.fork_map``) that pipes back its rows, or None where numpy refuses
+    the span; a span whose child died is parsed again here.  If numpy refuses
+    a span or the widths differ, ``_read_rows`` reads the file at once, and no
+    span is parsed again: it alone cites lines in errors, raises ParseError
+    for a field over ``csv``'s limit of 131072 characters, and drops
+    non-numeric rows under ``drop-row``.  Rows that are not finite are dropped
+    after either reader.  Without a header ``DataMatrix`` names the variables
+    X1 to XM.
     """
     if na_policy not in NA_POLICIES:
         raise ConfigError(f"unknown na_policy {na_policy!r}")
@@ -99,26 +101,21 @@ def load_csv(
 def _load_body(path: Path, delimiter: str, has_header: bool):
     """Names, () without a header, and values parsed by ``np.loadtxt``, else None."""
     try:
-        with path.open("rb") as fh:
-            fh.seek(3 if fh.read(3) == b"\xef\xbb\xbf" else 0)  # skip a byte-order mark
+        with path.open("rb") as raw:
+            start = 3 if raw.read(3) == b"\xef\xbb\xbf" else 0  # skip a byte-order mark
+            raw.seek(start)
             names = ()
-            if has_header:
-                body = fh.tell()
-                for line in (piece for raw in fh for piece in raw.splitlines(keepends=True)):
-                    body += len(line)
-                    if line.strip(b"\r\n"):  # the first line that is not blank
-                        break
-                else:
-                    return None
-                cells = next(csv.reader([line.decode()], delimiter=delimiter))
-                if {"\r", "\n"} & set("".join(cells)):  # a quote left open carries on
-                    return None
-                names = tuple(map(str.strip, cells))
-                fh.seek(body)
-            cuts = _cuts(fh)
-        parts = fork_map(lambda span: _parse_span(path, delimiter, *span),
+            if has_header:  # the first non-empty record, as _read_rows reads it
+                seen = []  # the lines the reader took, to find where the body starts
+                text = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+                lines = (seen.append(line) or line for line in text)
+                cells = next(filter(None, csv.reader(lines, delimiter=delimiter)), ())
+                names = tuple(map(str.strip, cells))  # () if none: the body is then empty too
+                start += len("".join(seen).encode())
+        cuts = [start + cut for cut in even_cuts(path.stat().st_size - start, _SPAN_FLOOR)]
+        parts = fork_map(lambda span: _parse_span(path, delimiter, start, *span),
                          list(zip(cuts, cuts[1:])))
-    except (OSError, ValueError):
+    except (OSError, ValueError, csv.Error):  # ValueError: UnicodeDecodeError too
         return None
     if any(part is None for part in parts):
         return None
@@ -129,25 +126,15 @@ def _load_body(path: Path, delimiter: str, has_header: bool):
     return names, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _cuts(fh) -> list[int]:
-    """Offsets cutting the body, from ``fh``'s position on, just after newlines."""
-    start, size = fh.tell(), fh.seek(0, os.SEEK_END)
-    cuts = [start]
-    for even in even_cuts(size - start, _SPAN_FLOOR)[1:-1]:
-        fh.seek(start + even - 1)
-        cut = fh.tell() + len(fh.readline())
-        if cuts[-1] < cut < size:  # else one line, or a body without LF, holds two cuts
-            cuts.append(cut)
-    return cuts + [size]
-
-
-def _parse_span(path: Path, delimiter: str, lo: int, hi: int) -> np.ndarray | None:
-    """The lines from byte ``lo`` to ``hi`` parsed by one ``np.loadtxt``, or None."""
+def _parse_span(path: Path, delimiter: str, start: int, lo: int, hi: int) -> np.ndarray | None:
+    """The body lines that begin in bytes ``[lo, hi)``, parsed by one ``np.loadtxt``, or None."""
     with path.open("rb") as fh, warnings.catch_warnings():
         # a body without rows goes to _read_rows, which names the fault
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        fh.seek(lo)
-        raw = itertools.takewhile(lambda _: fh.tell() <= hi, fh)  # split at LF only
+        fh.seek(lo - 1 if lo > start else lo)
+        if lo > start:  # the LF-ended line holding byte lo - 1 began in an earlier span
+            fh.readline()
+        raw = itertools.takewhile(lambda line: fh.tell() - len(line) < hi, fh)
         # a lone CR ends a line too, as it does for csv.reader
         lines = (line.decode() for chunk in raw for line in chunk.splitlines())
         try:
@@ -165,29 +152,32 @@ def _read_rows(path, delimiter: str, has_header: bool, na_policy: str | None = N
     parsed: list[list[float]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        rows = ((reader.line_num, row) for row in reader if row)
-        first = next(rows, None)
-        if first is None:
-            raise ParseError(f"{path}: empty file")
-        if has_header:
-            names = tuple(cell.strip() for cell in first[1])
-        else:
-            names = ()
-            rows = itertools.chain([first], rows)
-        width = len(first[1])
+        try:
+            rows = ((reader.line_num, row) for row in reader if row)
+            first = next(rows, None)
+            if first is None:
+                raise ParseError(f"{path}: empty file")
+            if has_header:
+                names = tuple(cell.strip() for cell in first[1])
+            else:
+                names = ()
+                rows = itertools.chain([first], rows)
+            width = len(first[1])
 
-        for lineno, row in rows:
-            if len(row) != width:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {width} cells, got {len(row)}"
-                )
-            try:
-                parsed.append([float(cell) for cell in row])
-            except ValueError:
-                if na_policy != "drop-row":
-                    tail = f" under na_policy={na_policy}" if na_policy else ""
-                    raise ParseError(f"{path}:{lineno}: non-numeric cell{tail}") from None
-                # drop-row: skip this observation
+            for lineno, row in rows:
+                if len(row) != width:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected {width} cells, got {len(row)}"
+                    )
+                try:
+                    parsed.append([float(cell) for cell in row])
+                except ValueError:
+                    if na_policy != "drop-row":
+                        tail = f" under na_policy={na_policy}" if na_policy else ""
+                        raise ParseError(f"{path}:{lineno}: non-numeric cell{tail}") from None
+                    # drop-row: skip this observation
+        except csv.Error as exc:  # a field over csv's size limit, say
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     return names, np.array(parsed, dtype=float).reshape(-1, width)
 
 
@@ -196,6 +186,5 @@ def write_csv(data: DataMatrix, path, delimiter: str = ",") -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(data.variable_names)
-        for row in data.values:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(data.values.tolist())  # a float is written as its repr
 

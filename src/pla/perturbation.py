@@ -26,7 +26,7 @@ __all__ = [
 TRACKING_MIN_OVERLAP = 0.7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundDiagnostic:
     """Perturbation size, per-eigenvalue eigengaps, bounds and threshold flags."""
 
@@ -81,7 +81,7 @@ def eigengap_bound(base: DispersionMatrix, delta, tau: float) -> BoundDiagnostic
     return BoundDiagnostic(fro, gaps, bounds, certified)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityProfile:
     """Finite-difference response of eigenvector magnitudes to one variance.
 

@@ -112,6 +112,23 @@ class TestAnalyze:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["code"] == 4
 
+    @pytest.mark.parametrize(
+        "text, line, flags",
+        [
+            ('"' + "x" * 200_000 + '",b\n1,2\n3,4\n', 1, []),
+            ('a,b\n1,2\n"' + "1" * 200_000 + '",4\n5,6\n', 3, []),
+            ('a,b\n1,2\n"' + "1" * 200_000 + '",4\n5,6\n', 3, ["--na-policy", "drop-row"]),
+        ],
+        ids=["header", "body", "body-drop-row"],
+    )
+    def test_a_field_over_the_csv_limit_is_a_data_error(self, text, line, flags, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text(text)
+        assert main(["analyze", "--input", str(path), *flags]) == 3
+        assert error_lines(capsys) == [
+            {"code": 3, "message": f"{path}:{line}: field larger than field limit (131072)"}
+        ]
+
     def test_bad_mode_rejected(self, dataset, capsys):
         assert main(["analyze", "--input", dataset, "--mode", "pca"]) == 2
         capsys.readouterr()
@@ -319,6 +336,14 @@ class TestBound:
         )
         assert code == 3
         capsys.readouterr()
+
+    def test_a_matrix_field_over_the_csv_limit_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text('1,0\n"' + "0" * 200_000 + '",1\n')
+        assert main(["bound", "--matrix", str(path), "--delta", str(path), "--tau", "0.5"]) == 3
+        assert error_lines(capsys) == [
+            {"code": 3, "message": f"{path}:2: field larger than field limit (131072)"}
+        ]
 
     def test_non_numeric_matrix_cell_names_no_option(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -98,6 +98,16 @@ class TestLoadCsv:
         assert again.variable_names == data.variable_names
         np.testing.assert_array_equal(again.values, data.values)
 
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", ".", "e", "-"])
+    def test_write_csv_writes_each_float_as_its_repr(self, tmp_path, delimiter):
+        values = [[1e-8, 1e16, 1e-5], [-0.0, 1.2345678901234568e+17, 5e-324], [0.1, -2.5, 1e8]]
+        path = tmp_path / "out.csv"
+        write_csv(DataMatrix(np.array(values), ("u", "v", "w")), path, delimiter=delimiter)
+        cells = [[repr(v) for v in row] for row in values]
+        quoted = [[f'"{c}"' if delimiter in c else c for c in row] for row in cells]
+        lines = [delimiter.join(["u", "v", "w"])] + [delimiter.join(row) for row in quoted]
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode()
+
     @pytest.mark.parametrize(
         "text, has_header, error, message",
         [
@@ -251,12 +261,21 @@ def test_split_load_csv_matches_the_row_reader(
 class TestSplitBody:
     TEXT = "a,b\n1,2\n3,4\n5,6\n"
 
-    def test_spans_end_just_after_a_newline(self, tmp_path):
-        path = _write(tmp_path, self.TEXT + "\n\n17,18\n")
-        # the body is 20 bytes; each cut ends the line holding byte 6 or 13 of it
-        with split_work(), path.open("rb") as fh:
-            fh.seek(4)
-            assert pla.ingest._cuts(fh) == [4, 12, 17, 24]
+    def test_a_line_belongs_to_the_span_its_first_byte_is_in(self, tmp_path):
+        # the body from byte 4: "1,2\n" at 4, "3,4\r\n" at 8, "55,66\n" at 13, a long line at 19
+        rows = [[1, 2], [3, 4], [55, 66], [777777, 888888]]
+        path = _write(tmp_path, "a,b\n1,2\n3,4\r\n55,66\n777777,888888\n")
+
+        def span(lo, hi):
+            return pla.ingest._parse_span(path, ",", 4, lo, hi).tolist()
+
+        assert span(4, 6) == rows[:1]  # a cut inside a line
+        assert span(6, 13) == rows[1:2]  # from a cut inside a line to one at a line start
+        assert span(8, 12) == rows[1:2]  # a cut between CR and LF
+        assert span(12, 19) == rows[2:3]  # the CRLF line began in the span before
+        assert span(22, 28) == []  # a span inside one long line parses nothing
+        for cut in range(5, 33):  # two spans hold every row once, wherever the cut
+            assert span(4, cut) + span(cut, 33) == rows
 
     @pytest.mark.parametrize("fork_patch", [dict(wraps=os.fork), dict(side_effect=BlockingIOError)],
                              ids=["forked", "refused"])
@@ -268,6 +287,17 @@ class TestSplitBody:
         assert fork.call_count == 2
         np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [5, 6]])
         assert data.variable_names == ("a", "b")
+
+    def test_a_quoted_two_line_header_is_read_without_the_row_reader(self, tmp_path):
+        path = _write(tmp_path, '"a, x","b\r\n c "\r\n' + self.TEXT[4:])
+        with split_work(), mock.patch.object(
+            pla.ingest, "_read_rows", wraps=pla.ingest._read_rows
+        ) as read_rows:
+            data = load_csv(path)
+        assert read_rows.call_count == 0
+        assert data.variable_names == ("a, x", "b\r\n c")
+        assert data.variable_names == pla.ingest._read_rows(path, ",", True)[0]
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [5, 6]])
 
     def test_a_failing_child_leaves_the_error_to_the_row_reader(
         self, tmp_path, monkeypatch
@@ -296,19 +326,20 @@ class TestSplitBody:
     def test_a_refused_span_sends_the_file_to_the_row_reader_at_once(self, tmp_path, monkeypatch):
         calls, parse_span = tmp_path / "calls.txt", pla.ingest._parse_span
 
-        def logged(path, delimiter, lo, hi):  # one line per call, from any process
+        def logged(path, delimiter, start, lo, hi):  # one line per call, from any process
             with open(calls, "a") as fh:
                 fh.write(f"{lo}\n")
-            return parse_span(path, delimiter, lo, hi)
+            return parse_span(path, delimiter, start, lo, hi)
 
         monkeypatch.setattr(pla.ingest, "_parse_span", logged)
         path = _write(tmp_path, self.TEXT.replace("5,6", "5,NA"))
-        # spans "1,2\n3,4\n" from byte 4, here, and "5,NA\n" from byte 12, in a child
+        # the 13-byte body is cut at byte 10: "1,2\n3,4\n" is parsed here, and "5,NA\n",
+        # which begins at byte 12, in a child
         with split_work(2), mock.patch.object(
             pla.ingest, "_read_rows", wraps=pla.ingest._read_rows
         ) as read_rows:
             data = load_csv(path, na_policy="drop-row")
-        assert sorted(map(int, calls.read_text().split())) == [4, 12]
+        assert sorted(map(int, calls.read_text().split())) == [4, 10]
         assert read_rows.call_count == 1
         np.testing.assert_array_equal(data.values, [[1, 2], [3, 4]])
 

@@ -5,6 +5,7 @@ import pytest
 
 from pla import (
     ConfigError,
+    DataMatrix,
     DimensionError,
     DispersionMatrix,
     NumericalError,
@@ -238,3 +239,19 @@ class TestVarianceSensitivity:
                     checked += 1
                     assert ok
         assert checked > 40
+
+
+def test_array_holding_results_compare_by_identity():
+    base = DispersionMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]), "covariance")
+    makers = [
+        lambda: DataMatrix(np.arange(6.0).reshape(3, 2)),
+        lambda: DispersionMatrix(base.entries, "covariance"),
+        lambda: DispersionMatrix(base.entries, "covariance").eigensystem,
+        lambda: eigengap_bound(base, np.zeros((2, 2)), 0.5),
+        lambda: variance_sensitivity(base, 0, [0.01, 0.02]),
+    ]
+    for make in makers:
+        x, y = make(), make()
+        assert (x == y) is False  # equal values, two objects; no ambiguous-truth ValueError
+        assert x == x
+        assert hash(x) == hash(x)
