@@ -302,14 +302,8 @@ def run_pla(data_or_matrix, config: PlaConfig | None = None) -> PlaReport:
         approx = (explained_variance_approx(matched, cov_es)
                   if len(matched.eigen_indices) == len(block.variables) else None)
         chosen = exact if config.ev_formula == "exact" else approx
-        scored.append(
-            replace(
-                block,
-                ev_exact=exact,
-                ev_approx=approx,
-                discardable=chosen is not None and chosen <= config.ev_cutoff,
-            )
-        )
+        scored.append(replace(block, ev_exact=exact, ev_approx=approx,
+                              discardable=chosen is not None and chosen <= config.ev_cutoff))
     partition = replace(partition, blocks=tuple(scored))
     unmatched = [names[i] for b in partition.blocks if b.ev_approx is None for i in b.variables]
     if unmatched:
@@ -318,19 +312,9 @@ def run_pla(data_or_matrix, config: PlaConfig | None = None) -> PlaReport:
             "ev_approx is null for: " + ", ".join(unmatched)
         )
 
-    recommendation = tuple(
-        names[i]
-        for i in sorted(
-            idx for b in partition.blocks if b.discardable for idx in b.variables
-        )
-    )
-    return PlaReport(
-        partition=partition,
-        variable_names=names,
-        warnings=tuple(warnings),
-        recommendation=recommendation,
-        config=config,
-    )
+    dropped = sorted(i for b in partition.blocks if b.discardable for i in b.variables)
+    return PlaReport(partition=partition, variable_names=names, warnings=tuple(warnings),
+                     recommendation=tuple(names[i] for i in dropped), config=config)
 
 
 def discard(data: DataMatrix, report: PlaReport) -> DataMatrix:
@@ -343,7 +327,4 @@ def discard(data: DataMatrix, report: PlaReport) -> DataMatrix:
         return data
     if not keep:
         raise DimensionError("refusing to discard every variable")
-    return DataMatrix(
-        data.values[:, keep],
-        tuple(data.variable_names[i] for i in keep),
-    )
+    return DataMatrix(data.values[:, keep], tuple(data.variable_names[i] for i in keep))

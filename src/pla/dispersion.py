@@ -1,4 +1,5 @@
-"""Covariance/correlation estimation and deterministic symmetric eigendecomposition."""
+"""Covariance/correlation estimation, deterministic symmetric eigendecomposition, and
+the package's only LAPACK calls, each of which translates ``LinAlgError``."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from .errors import (
     ConfigError,
     DegenerateColumnError,
     DimensionError,
+    FactorizationError,
     NumericalError,
     SymmetryError,
 )
@@ -129,6 +131,14 @@ def correlation_from_covariance(
     corr = np.clip(entries / np.outer(d, d), -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     return DispersionMatrix(corr, "correlation")
+
+
+def cholesky_factor(covariance: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a population covariance, which must be positive definite."""
+    try:
+        return np.linalg.cholesky(covariance)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"population covariance is not positive definite: {exc}") from exc
 
 
 def tie_tolerance(eigenvalues: np.ndarray) -> float:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,11 +42,10 @@ class DataMatrix:
             raise ParseError("data contains non-finite entries")
         names = self.variable_names or _default_names(m)
         if len(names) != m:
-            raise DimensionError(
-                f"{len(names)} variable names for {m} columns"
-            )
-        if len(set(names)) != len(names):
-            raise ParseError("variable names are not unique")
+            raise DimensionError(f"{len(names)} variable names for {m} columns")
+        repeated = [name for name, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise ParseError(f"duplicate variable names: {', '.join(map(str, repeated))}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variable_names", tuple(str(s) for s in names))
 
@@ -62,11 +63,11 @@ def load_csv(
 ) -> DataMatrix:
     """Read a rectangular numeric CSV into a DataMatrix.
 
-    With ``na_policy="drop-row"`` any row containing a cell that does not
-    parse as a number, or parses as nan or inf, is removed; with ``"fail"``
-    such a cell raises ParseError.  Errors cite physical line numbers, blank
-    lines included.  The file is read as UTF-8; a leading byte-order mark is
-    skipped.
+    A bad cell does not parse as a number, or parses as nan or inf (``1e999``
+    included): ``na_policy="drop-row"`` removes its row, ``"fail"`` raises
+    ParseError.  Errors cite physical line numbers, blank lines included, and
+    repeated header names are named.  The file is read as UTF-8; a leading
+    byte-order mark is skipped.
 
     The header is the first non-empty ``csv.reader`` record, on one line or
     more.  The body is cut into even spans of at least 1 MiB, one per usable
@@ -76,10 +77,11 @@ def load_csv(
     the span; a span whose child died is parsed again here.  If numpy refuses
     a span or the widths differ, ``_read_rows`` reads the file at once, and no
     span is parsed again: it alone cites lines in errors, raises ParseError
-    for a field over ``csv``'s limit of 131072 characters, and drops
-    non-numeric rows under ``drop-row``.  Rows that are not finite are dropped
-    after either reader.  Without a header ``DataMatrix`` names the variables
-    X1 to XM.
+    for a field over ``csv``'s limit of 131072 characters, and drops rows with
+    a bad cell under ``drop-row``.  The split parse keeps nan and inf: their
+    rows are dropped under ``drop-row``, and under ``fail`` the row reader
+    then reads the file to cite the line, so a clean body is read once.
+    Without a header ``DataMatrix`` names the variables X1 to XM.
     """
     if na_policy not in NA_POLICIES:
         raise ConfigError(f"unknown na_policy {na_policy!r}")
@@ -88,14 +90,20 @@ def load_csv(
     path = Path(path)
     names, values = (_load_body(path, delimiter, has_header)
                      or _read_rows(path, delimiter, has_header, na_policy))
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():  # only a split parse keeps a nan or inf cell
+        if na_policy == "fail":  # the row reader raises, citing its line
+            _read_rows(path, delimiter, has_header, na_policy)
+        values = values[finite]
     width = values.shape[1]
     if width < 2:
         raise DimensionError(f"{path}: need at least 2 columns, got {width}")
-    if na_policy == "drop-row":
-        values = values[np.isfinite(values).all(axis=1)]
     if len(values) < 2:
         raise DimensionError(f"{path}: need at least 2 usable rows, got {len(values)}")
-    return DataMatrix(values, names)
+    try:
+        return DataMatrix(values, names)
+    except ParseError as exc:  # repeated names
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _load_body(path: Path, delimiter: str, has_header: bool):
@@ -146,8 +154,9 @@ def _parse_span(path: Path, delimiter: str, start: int, lo: int, hi: int) -> np.
 def _read_rows(path, delimiter: str, has_header: bool, na_policy: str | None = None):
     """Names, () without a header, and values read by ``csv.reader`` and ``float``.
 
-    Every ParseError of ``load_csv`` comes from here, citing the physical
-    line; with ``na_policy`` None, for matrix files, errors name no option.
+    Every ParseError of ``load_csv`` but that for repeated names comes from
+    here, citing the physical line of a ragged row or a bad cell: non-numeric,
+    nan or inf.  With ``na_policy`` None, for matrix files, errors name no option.
     """
     parsed: list[list[float]] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -170,12 +179,15 @@ def _read_rows(path, delimiter: str, has_header: bool, na_policy: str | None = N
                         f"{path}:{lineno}: expected {width} cells, got {len(row)}"
                     )
                 try:
-                    parsed.append([float(cell) for cell in row])
+                    cells = [float(cell) for cell in row]
+                    fault = None if all(map(math.isfinite, cells)) else "non-finite"
                 except ValueError:
-                    if na_policy != "drop-row":
-                        tail = f" under na_policy={na_policy}" if na_policy else ""
-                        raise ParseError(f"{path}:{lineno}: non-numeric cell{tail}") from None
-                    # drop-row: skip this observation
+                    fault = "non-numeric"
+                if fault is None:
+                    parsed.append(cells)
+                elif na_policy != "drop-row":  # drop-row skips this observation
+                    tail = f" under na_policy={na_policy}" if na_policy else ""
+                    raise ParseError(f"{path}:{lineno}: {fault} cell{tail}")
         except csv.Error as exc:  # a field over csv's size limit, say
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     return names, np.array(parsed, dtype=float).reshape(-1, width)

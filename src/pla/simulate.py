@@ -24,8 +24,8 @@ import numpy as np
 
 from ._fork import even_cuts, fork_map, one_blas_thread
 from .core import MODES, _detect, check_tau
-from .dispersion import DispersionMatrix, correlation_from_covariance
-from .errors import ConfigError, DimensionError, FactorizationError, PlaError
+from .dispersion import DispersionMatrix, cholesky_factor, correlation_from_covariance
+from .errors import ConfigError, DimensionError, PlaError
 
 __all__ = [
     "ScenarioSpec",
@@ -177,12 +177,7 @@ def draw_covariance(covariance: np.ndarray, n: int, seed) -> np.ndarray:
     """
     if n < 2:
         raise DimensionError("sample covariance needs at least 2 observations")
-    try:
-        chol = np.linalg.cholesky(covariance)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"population covariance is not positive definite: {exc}"
-        ) from exc
+    chol = cholesky_factor(covariance)
     m = chol.shape[0]
     df = n - 1
     k = min(df, m)
@@ -232,7 +227,7 @@ def _run_iteration(spec: ScenarioSpec, master_seed: int, s: int) -> tuple[bool, 
         else:
             matrix = DispersionMatrix(cov, "covariance")
         partition = _detect(matrix.eigensystem, spec.mode, spec.tau)
-    except (PlaError, np.linalg.LinAlgError):
+    except PlaError:  # LAPACK's failures arrive translated, as NumericalError
         return False, True
     return _recovered(partition, spec), False
 

@@ -129,6 +129,35 @@ class TestAnalyze:
             {"code": 3, "message": f"{path}:{line}: field larger than field limit (131072)"}
         ]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_a_non_finite_cell_cites_its_line(self, cell, cpus, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1,2\n\n3,{cell}\n4,x\n5,6\n")
+        with split_work(cpus):  # a split parse reads the nan, the row reader cites it
+            assert main(["analyze", "--input", str(path)]) == 3
+        assert error_lines(capsys) == [
+            {"code": 3, "message": f"{path}:4: non-finite cell under na_policy=fail"}
+        ]
+
+    def test_duplicate_names_are_named(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,b,a\n1,2,3\n4,5,7\n7,9,8\n")
+        assert main(["analyze", "--input", str(path)]) == 3
+        assert error_lines(capsys) == [
+            {"code": 3, "message": f"{path}: duplicate variable names: a"}
+        ]
+
+    def test_an_eigensolver_failure_is_one_json_line(self, dataset, capsys):
+        # LAPACK's error is translated where LAPACK is called, in DispersionMatrix
+        failure = np.linalg.LinAlgError("Eigenvalues did not converge")
+        with mock.patch.object(np.linalg, "eigh", side_effect=failure) as eigh:
+            assert main(["analyze", "--input", dataset]) == 4
+        assert eigh.call_count == 1
+        assert error_lines(capsys) == [
+            {"code": 4, "message": "eigensolver failed: Eigenvalues did not converge"}
+        ]
+
     def test_bad_mode_rejected(self, dataset, capsys):
         assert main(["analyze", "--input", dataset, "--mode", "pca"]) == 2
         capsys.readouterr()
@@ -358,7 +387,7 @@ class TestBound:
     "command, bad",
     [("bound", "matrix"), ("bound", "delta"), ("sensitivity", "matrix")],
 )
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
 def test_non_finite_matrix_cell_is_data_error(command, bad, cell, tmp_path, capsys):
     good = write_matrix(tmp_path, "good.csv", np.eye(2))
     path = tmp_path / "bad.csv"
@@ -371,10 +400,14 @@ def test_non_finite_matrix_cell_is_data_error(command, bad, cell, tmp_path, caps
         argv = ["sensitivity", "--matrix", files["matrix"], "--variable", "0",
                 "--increments", "0.01"]
     assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = json.loads(captured.err)
-    assert err["code"] == 3 and "non-finite" in err["message"]
+    assert error_lines(capsys) == [{"code": 3, "message": f"{path}:1: non-finite cell"}]
+
+
+def test_a_matrix_file_that_is_not_square_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("1,0,0\n0,1,0\n")
+    assert main(["bound", "--matrix", str(path), "--delta", str(path), "--tau", "0.5"]) == 3
+    assert error_lines(capsys) == [{"code": 3, "message": f"{path}: matrix file must be square"}]
 
 
 class TestSensitivity:

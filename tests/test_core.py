@@ -114,6 +114,12 @@ def test_detect_blocks_bad_tau_is_a_config_error(tau):
         detect_blocks(np.eye(3), tau)
 
 
+def test_detect_blocks_on_non_square_loadings_is_a_dimension_error():
+    with pytest.raises(DimensionError) as info:
+        detect_blocks(np.ones((2, 3)), 0.5)
+    assert str(info.value) == "loadings must be square, got (2, 3)"
+
+
 class TestExplainedVariance:
     def test_diagonal_case(self):
         es = DispersionMatrix(np.diag([3.0, 2.0, 1.0]), "covariance").eigensystem
@@ -293,6 +299,16 @@ class TestRunPla:
             PlaConfig(ev_cutoff=1.0)
         with pytest.raises(ValueError):
             PlaConfig(mode="pca")
+
+    def test_an_unknown_ev_formula_is_a_config_error(self):
+        with pytest.raises(ConfigError) as info:
+            PlaConfig(ev_formula="mean")
+        assert str(info.value) == "unknown ev_formula 'mean'"
+
+    def test_neither_data_nor_a_matrix_is_a_type_error(self):
+        with pytest.raises(TypeError) as info:
+            run_pla(BLOCK_3X3.tolist())
+        assert str(info.value) == "expected DataMatrix or DispersionMatrix, got <class 'list'>"
 
 
 class TestDiscard:

@@ -6,6 +6,7 @@ from pla import (
     ConfigError,
     DataMatrix,
     DegenerateColumnError,
+    DimensionError,
     DispersionMatrix,
     NumericalError,
     SymmetryError,
@@ -23,6 +24,13 @@ def random_psd(rng, m, scale=1.0):
 def test_unknown_kind_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown dispersion kind 'precision'"):
         DispersionMatrix(np.eye(2), "precision")
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 0), (4,)])
+def test_a_matrix_that_is_not_square_or_is_empty_is_a_dimension_error(shape):
+    with pytest.raises(DimensionError) as info:
+        DispersionMatrix(np.zeros(shape), "covariance")
+    assert str(info.value) == f"need a non-empty square matrix, got {shape}"
 
 
 class TestSampleCovariance:

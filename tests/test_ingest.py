@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import pla.ingest
 from pla import (
+    ConfigError,
     DataMatrix,
     DimensionError,
     ParseError,
@@ -56,6 +57,21 @@ class TestLoadCsv:
         path = _write(tmp_path, "a,b\n1,2\nnan,3\n4,5\n")
         with pytest.raises(ParseError, match="non-finite"):
             load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e999"])
+    def test_a_split_body_with_a_non_finite_cell(self, tmp_path, cell):
+        # drop-row drops the row from the split parse; fail has the row reader cite its line
+        path = _write(tmp_path, f"a,b\n1,2\n3,4\n5,{cell}\n7,8\n9,1\n")
+        with split_work(), mock.patch.object(
+            pla.ingest, "_read_rows", wraps=pla.ingest._read_rows
+        ) as read_rows:
+            data = load_csv(path, na_policy="drop-row")
+            assert read_rows.call_count == 0
+            with pytest.raises(ParseError) as info:
+                load_csv(path)
+            assert read_rows.call_count == 1
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4], [7, 8], [9, 1]])
+        assert str(info.value) == f"{path}:4: non-finite cell under na_policy=fail"
 
     def test_error_cites_physical_line_after_blank_lines(self, tmp_path):
         path = _write(tmp_path, "a,b\n1,2\n\n\n3,x\n4,5\n")
@@ -426,8 +442,34 @@ class TestDataMatrixInvariants:
             DataMatrix(np.array([[1.0, 2.0]]))
 
     def test_rejects_duplicate_names(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^duplicate variable names: a$"):
             DataMatrix(np.eye(3), ("a", "a", "b"))
+
+    @pytest.mark.parametrize("values, names, message", [
+        (np.arange(3.0), (), "expected a 2-d array, got ndim=1"),
+        (np.ones((3, 1)), (), "need at least 2 variables, got 1"),
+        (np.eye(2), ("a",), "1 variable names for 2 columns"),
+    ], ids=["1-d", "one column", "names"])
+    def test_rejects_a_shape_it_cannot_hold(self, values, names, message):
+        with pytest.raises(DimensionError) as info:
+            DataMatrix(values, names)
+        assert str(info.value) == message
+
+
+def test_an_unknown_na_policy_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        load_csv(_write(tmp_path, "a,b\n1,2\n3,4\n"), na_policy="skip")
+    assert str(info.value) == "unknown na_policy 'skip'"
+
+
+@pytest.mark.parametrize("body", ["split", "row reader"])
+def test_duplicate_header_names_are_named_with_the_file(tmp_path, body):
+    path = _write(tmp_path, "a,b,a,c,b\n1,2,3,4,5\n2,1,4,3,3\n5,5,1,1,2\n")
+    load_body = pla.ingest._load_body if body == "split" else lambda *args: None
+    with split_work(), mock.patch.object(pla.ingest, "_load_body", load_body), \
+            pytest.raises(ParseError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: duplicate variable names: a, b"
 
 
 class TestStandardize:

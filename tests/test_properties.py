@@ -280,7 +280,8 @@ def test_cli_answers_malformed_files_with_json_errors(fuzz_dir, text, command):
 
 
 def oracle_square_array(path: str) -> np.ndarray:
-    """Reference for ``cli._load_square_array``: ``float`` of each ``csv.reader`` cell."""
+    """Reference for ``cli._load_square_array``: ``float`` of each ``csv.reader`` cell,
+    each of which must be finite."""
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):
@@ -289,12 +290,11 @@ def oracle_square_array(path: str) -> np.ndarray:
                     rows.append([float(cell) for cell in row])
                 except ValueError:
                     raise ParseError(f"{path}: non-numeric matrix cell") from None
+                if not np.all(np.isfinite(rows[-1])):
+                    raise ParseError(f"{path}: non-finite matrix cell")
     if not rows or any(len(r) != len(rows) for r in rows):
-        raise ParseError(f"{path}: matrix file must be square and numeric")
-    array = np.array(rows)
-    if not np.all(np.isfinite(array)):
-        raise ParseError(f"{path}: non-finite matrix cell")
-    return array
+        raise ParseError(f"{path}: matrix file must be square")
+    return np.array(rows)
 
 
 @settings(max_examples=300, deadline=None)

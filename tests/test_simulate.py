@@ -157,6 +157,17 @@ class TestDrawCovariance:
         with pytest.raises(FactorizationError):
             draw_covariance(np.diag([1.0, -1.0]), 10, seed=0)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_cholesky_failure_counts_as_numerical(self, cpus):
+        # LAPACK's error is translated where LAPACK is called, for draw_covariance
+        failure = np.linalg.LinAlgError("planted")
+        with mock.patch.object(np.linalg, "cholesky", side_effect=failure):
+            with pytest.raises(FactorizationError, match="not positive definite: planted"):
+                draw_covariance(np.eye(3), 10, seed=0)
+            with split_work(cpus):
+                est = type_one_error(spec(), MonteCarloSpec(iterations=40, master_seed=1))
+        assert (est.failures, est.numerical_failures) == (40, 40)
+
     @pytest.mark.parametrize(
         "kw",
         [
